@@ -227,7 +227,7 @@ def test_trace_overhead(benchmark, tmp_path):
     wall-clocks and the measured overhead, and asserts the traced run
     reconciles with its own results. The <5% acceptance bar is only
     asserted when the untraced baseline takes >=5 s — below that the
-    ratio is dominated by process-pool startup noise; the artifact
+    ratio is dominated by worker startup noise; the artifact
     still records the measured value.
     """
     from repro.analysis.interface import AnalysisOptions

@@ -40,6 +40,7 @@ import hashlib
 import json
 import os
 import sqlite3
+import time
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -89,6 +90,26 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL, waiting out concurrent openers.
+
+    Processes opening a fresh store at the same moment each hold a
+    shared lock while asking for the exclusive one the switch needs;
+    sqlite fails one of them at once with "database is locked" instead
+    of calling the busy handler (which would deadlock), so the switch
+    is retried for up to 30 s, the store's busy timeout.
+    """
+    deadline = time.monotonic() + 30.0
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+
+
 class PersistentStore:
     """Digest-keyed sqlite store backing :class:`AnalysisCache`.
 
@@ -121,7 +142,7 @@ class PersistentStore:
             return self._conn
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
+        _enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute("PRAGMA busy_timeout=30000")
         conn.execute(

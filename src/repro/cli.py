@@ -671,8 +671,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the sweep (results are bit-identical "
-        "to --jobs 1)",
+        help="worker processes for the sweep: N > 1 runs it on a local "
+        "sweep service with N socket workers, one unit in flight each "
+        "(results are bit-identical to --jobs 1; with --cache, finished "
+        "units are also served from and written to the store)",
     )
     p_fig.add_argument(
         "--trace",

@@ -1,8 +1,8 @@
 """Dispatch-agnostic (point, task set) work units and their scheduler.
 
-The sweep engines — sequential, ``--jobs N`` process pool, and the
-:mod:`repro.service` coordinator — all decompose an experiment into the
-same pure work unit: evaluate every protocol on one task set of one
+The sweep engines — sequential and the :mod:`repro.service`
+coordinator behind ``--jobs N`` and ``repro serve`` — decompose an
+experiment into the same pure work unit: evaluate every protocol on one task set of one
 sweep point. This module owns everything about those units that does
 *not* depend on how they are shipped to a CPU:
 
@@ -18,10 +18,9 @@ sweep point. This module owns everything about those units that does
   the PR 5 crash-recovery protocol: which units are pending at which
   attempt, which have crashed how often, requeue-or-quarantine
   decisions, point completion (trace append in task-set order, one
-  atomic checkpoint write, progress callback). The process-pool engine
-  drives it from a ``ProcessPoolExecutor`` loop; the sweep service
-  drives it from an asyncio dispatch loop; both inherit identical
-  recovery semantics;
+  atomic checkpoint write, progress callback). The sweep service
+  drives it from its asyncio dispatch loop, for ``run_experiment(...,
+  jobs=N)`` and ``repro serve`` alike;
 * :func:`unit_digest` / the unit payload codec — the content address
   under which the sweep service memoises *finished unit results* in the
   persistent store. The digest covers everything the unit's counts
@@ -228,8 +227,8 @@ def _evaluate_unit(
     keeps the counters deterministic across engines. With a
     ``recorder`` the unit's analysis events (solves, cache traffic,
     fixpoint iterations, per-protocol verdicts) are buffered and
-    returned on the unit result. ``death_check`` is the process-pool
-    path's ``worker.death`` injection hook (called at unit start and
+    returned on the unit result. ``death_check`` is the socket
+    workers' ``worker.death`` injection hook (called at unit start and
     before each protocol with the protocol name); it simulates the
     worker dying at that instant, so it exists only where a real crash
     could — sequential runs never pass one.
@@ -412,7 +411,7 @@ def _failed_unit(
 ) -> _UnitResult:
     """Synthetic unit result for work no worker could complete.
 
-    Used for quarantined pool-killer units and for units whose worker
+    Used for quarantined worker-killer units and for units whose worker
     kept raising unexpected (non-Repro) exceptions: the parent
     regenerates the task set — generation is deterministic and cheap
     next to analysis — so the ledger still carries the digest needed
@@ -581,12 +580,10 @@ class UnitScheduler:
     per-unit crash counts, the per-point result buckets, and the point
     completion pipeline (merge in task-set order → trace append →
     atomic checkpoint write → progress callback). It never dispatches
-    anything itself: the process-pool engine submits pending units to a
-    ``ProcessPoolExecutor`` and feeds outcomes back through
-    :meth:`record_unit`/:meth:`record_crash`; the sweep-service
-    coordinator does the same from an asyncio loop over remote workers.
-    Both therefore share the exact requeue → probe/retry → quarantine
-    semantics the chaos tests pin.
+    anything itself: the sweep-service coordinator sends pending units
+    to socket workers and feeds outcomes back through
+    :meth:`record_unit`/:meth:`record_crash`, which decide the requeue
+    → probe/retry → quarantine semantics the chaos tests pin.
     """
 
     def __init__(

@@ -47,8 +47,9 @@ Rules
     ``COUNTER_NAMES`` and the sweep report. See
     :mod:`repro.lint.trace_contract`.
 ``fork-safety``
-    Nothing pickled across the ``ProcessPoolExecutor`` boundary holds
-    a database connection, open file handle, or unseeded RNG; the
+    Nothing pickled across a process boundary (pool ``submit``
+    arguments, ``multiprocessing.Process`` targets) holds a database
+    connection, open file handle, or unseeded RNG; the
     module-level scope stacks are only mutated inside
     ``@contextmanager`` functions. See :mod:`repro.lint.fork_safety`.
 ``durable-write``

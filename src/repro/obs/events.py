@@ -103,9 +103,7 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     "worker.unit": {"pid": "int"},
     "worker.requeued": {"attempt": "int", "error": "str"},
     "worker.quarantined": {"crashes": "int", "error": "str"},
-    "worker.pool_broken": {"suspects": "int"},
     "worker.crash": {"attempt": "int", "crashes": "int"},
-    "worker.markers_swept": {"dirs": "int"},
     # sweep service (coordinator-side lifecycle; see repro.service)
     "service.start": {"port": "int", "workers": "int"},
     "service.submit": {"points": "int", "units": "int", "resumed": "int"},

@@ -13,7 +13,8 @@ Message vocabulary (the ``type`` field):
 
 ===================  ==============================================
 ``hello``            First frame of every connection:
-                     ``{"role": "worker" | "client"}``.
+                     ``{"role": "worker" | "client"}``; a worker
+                     adds its ``pid``.
 ``welcome``          Coordinator → worker: the run context a worker
                      needs (``cache_path``, ``fault_plan``).
 ``unit``             Coordinator → worker: evaluate one

@@ -3,22 +3,24 @@
 A worker is one OS process holding one socket to the coordinator. It
 announces itself (``hello``), receives the run context (``welcome``:
 persistent-cache path, fault plan), then loops: receive a ``unit``
-message, evaluate it through the exact same
-:func:`repro.experiments.runner._worker_evaluate` entry point the
-``--jobs N`` process pool uses (fresh per-unit analysis-cache scope,
-per-unit fault-injection scope, buffered trace events), and send the
-``result`` frame back. Sweep configs travel once per (worker, sweep)
-in a ``sweep`` frame and are cached by id, so steady-state unit frames
-are a few dozen bytes.
+message, evaluate it through
+:func:`repro.experiments.runner._worker_evaluate` (fresh per-unit
+analysis-cache scope, per-unit fault-injection scope, buffered trace
+events), and send the ``result`` frame back. ``run_experiment(...,
+jobs=N)`` and ``repro serve`` both run their units on these workers.
+Sweep configs travel once per (worker, sweep) in a ``sweep`` frame and
+are cached by id, so steady-state unit frames are a few dozen bytes.
 
-Crash semantics are inherited wholesale: an injected ``worker.death``
-(``exit`` mode) calls ``os._exit`` mid-unit, the socket dies with the
-process, and the coordinator's connection-loss path plays the role the
-broken-pool marker protocol plays for the local pool — requeue with an
-incremented attempt, probe, quarantine. The service-specific
-``service.disconnect`` fault site additionally models a *network*
-failure: the worker drops its connection on the way into a unit and
-exits without evaluating anything.
+Crash semantics: an injected ``worker.death`` (``exit`` mode) calls
+``os._exit`` mid-unit, the socket dies with the process, and the
+coordinator's connection-loss path blames the unit it had sent —
+requeue with an incremented attempt, probe, quarantine. An exception
+escaping the evaluation travels back as an ``error`` on the result
+frame (its type name, message, and whether it is a ``ReproError``);
+the coordinator decides whether to ledger or re-raise it. The
+service-specific ``service.disconnect`` fault site additionally models
+a *network* failure: the worker drops its connection on the way into a
+unit and exits without evaluating anything.
 
 Workers never write trace files, checkpoints, or the unit-result store
 — they ship buffered events and counters on the result frame and the
@@ -107,10 +109,13 @@ def worker_main(host: str, port: int) -> None:
     """Connect to the coordinator and evaluate units until told to stop.
 
     Process entry point (see :func:`spawn_worker`); exits when the
-    coordinator sends ``shutdown``, closes the connection, or an
-    injected fault drops/kills this worker.
+    coordinator is unreachable, sends ``shutdown``, closes the
+    connection, or an injected fault drops/kills this worker.
     """
-    sock = socket.create_connection((host, port))
+    try:
+        sock = socket.create_connection((host, port))
+    except OSError:
+        return  # the coordinator is already gone
     try:
         send_message(sock, {"type": "hello", "role": "worker",
                             "pid": os.getpid()})
@@ -154,7 +159,7 @@ def worker_main(host: str, port: int) -> None:
                     sock.close()
                     os._exit(70)
                 try:
-                    _, result = _worker_evaluate(
+                    result = _worker_evaluate(
                         context["config"],
                         point,
                         unit,
@@ -163,22 +168,15 @@ def worker_main(host: str, port: int) -> None:
                         context["trace"],
                         fault_plan,
                         attempt,
-                        None,  # no marker files: the socket is the marker
                         cache_path,
                     )
-                except ReproError as exc:
+                except Exception as exc:  # noqa: BLE001 - handled upstream
                     send_message(sock, {
                         "type": "result", "point": point, "unit": unit,
                         "attempt": attempt,
                         "error": {"type": type(exc).__name__,
-                                  "message": str(exc), "repro": True},
-                    })
-                except Exception as exc:  # noqa: BLE001 - ledgered upstream
-                    send_message(sock, {
-                        "type": "result", "point": point, "unit": unit,
-                        "attempt": attempt,
-                        "error": {"type": type(exc).__name__,
-                                  "message": str(exc), "repro": False},
+                                  "message": str(exc),
+                                  "repro": isinstance(exc, ReproError)},
                     })
                 else:
                     send_message(sock, {

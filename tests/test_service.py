@@ -12,16 +12,14 @@ worker died mid-unit. These tests pin that contract alongside the
 import dataclasses
 import json
 import multiprocessing
-import os
 import socket
 import struct
-import tempfile
 import threading
 
 import pytest
 
 from repro.analysis.interface import AnalysisOptions
-from repro.errors import ExperimentError
+from repro.errors import AnalysisError, ExperimentError
 from repro.experiments import (
     ExperimentConfig,
     SweepPoint,
@@ -34,7 +32,6 @@ from repro.experiments.persistence import (
     _point_to_dict,
     config_digest,
 )
-from repro.experiments.runner import sweep_stale_marker_dirs
 from repro.experiments.units import unit_digest
 from repro.faults import FaultPlan, FaultSpec
 from repro.generator.taskset_gen import GenerationConfig
@@ -199,7 +196,7 @@ class TestServiceEquivalence:
             method="closed_form",
             ls_policy="bogus",
         )
-        with pytest.raises(ExperimentError):
+        with pytest.raises(AnalysisError):
             run_service_sweep(config, workers=2, failure_policy="raise")
 
     def test_empty_denominator_ratios_cross_the_wire(self):
@@ -457,49 +454,137 @@ class TestServiceResume:
 
 
 def _exit_immediately() -> None:
-    """Child that dies at once: its PID becomes a dead owner stamp."""
+    """A worker process that dies before it joins."""
 
 
-class TestStaleMarkerSweep:
-    """Satellite: orphaned inflight-marker dirs are reaped on startup."""
+class TestJobsOnLocalService:
+    """``run_experiment(jobs=N)`` runs on a local service of N workers."""
 
-    class _Writer:
-        def __init__(self):
-            self.events = []
+    @pytest.fixture
+    def config(self):
+        points = tuple(
+            SweepPoint(u, GenerationConfig(n=3, utilization=u, gamma=0.1))
+            for u in (0.2, 0.4)
+        )
+        return ExperimentConfig(
+            name="jobs-service",
+            x_label="U",
+            points=points,
+            sets_per_point=4,
+            seed=11,
+            method="closed_form",
+        )
 
-        def emit(self, name, **fields):
-            self.events.append((name, fields))
+    def test_trace_reports_and_uses_the_requested_workers(
+        self, config, tmp_path
+    ):
+        trace = tmp_path / "jobs2.trace.jsonl"
+        run_experiment(config, jobs=2, trace_path=str(trace))
+        events = read_trace(trace)
+        start = next(e for e in events if e["name"] == "run.start")
+        assert start["f"]["jobs"] == 2
+        service_start = next(
+            e for e in events if e["name"] == "service.start"
+        )
+        assert service_start["f"]["workers"] == 2
+        dispatched = [
+            e for e in events if e["name"] == "service.unit.dispatched"
+        ]
+        assert sorted((e["point"], e["unit"]) for e in dispatched) == [
+            (point, unit)
+            for point in range(len(config.points))
+            for unit in range(config.sets_per_point)
+        ]
+        assert len({e["f"]["worker"] for e in dispatched}) == 2
+        # Both spawned workers joined and no replacement was spawned.
+        joined = [e for e in events if e["name"] == "service.worker.joined"]
+        assert sorted(e["f"]["worker"] for e in joined) == [0, 1]
 
-    def _owned_dir(self, root, name, owner) -> None:
-        path = root / name
-        path.mkdir()
-        if owner is not None:
-            (path / ".owner").write_text(str(owner), encoding="utf-8")
+    @pytest.mark.parametrize("path", ["jobs", "service", "crash"])
+    def test_workers_exit_cleanly(self, config, monkeypatch, path):
+        import repro.service.coordinator as coordinator
 
-    def test_only_dead_owners_are_reaped(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        child = multiprocessing.Process(target=_exit_immediately)
-        child.start()
-        child.join()
-        self._owned_dir(tmp_path, "repro-inflight-dead", child.pid)
-        self._owned_dir(tmp_path, "repro-inflight-live", os.getpid())
-        self._owned_dir(tmp_path, "repro-inflight-orphan", None)
-        self._owned_dir(tmp_path, "unrelated-dir", child.pid)
-        writer = self._Writer()
-        assert sweep_stale_marker_dirs(writer) == 1
-        assert not (tmp_path / "repro-inflight-dead").exists()
-        assert (tmp_path / "repro-inflight-live").exists()
-        # Unattributable and foreign directories are never touched.
-        assert (tmp_path / "repro-inflight-orphan").exists()
-        assert (tmp_path / "unrelated-dir").exists()
-        assert writer.events == [("worker.markers_swept", {"dirs": 1})]
+        spawned = []
+        spawn = coordinator.spawn_worker
 
-    def test_no_event_when_nothing_swept(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        self._owned_dir(tmp_path, "repro-inflight-live", os.getpid())
-        writer = self._Writer()
-        assert sweep_stale_marker_dirs(writer) == 0
-        assert writer.events == []
+        def recording_spawn(host, port):
+            spawned.append(spawn(host, port))
+            return spawned[-1]
+
+        monkeypatch.setattr(coordinator, "spawn_worker", recording_spawn)
+        if path == "jobs":
+            run_experiment(config, jobs=2)
+        elif path == "service":
+            run_service_sweep(config, workers=2)
+        else:
+            # The killed worker exits with the injected code; its
+            # replacement, even one joining as the sweep ends, is shut
+            # down like the others rather than terminated.
+            plan = FaultPlan(
+                specs=(
+                    FaultSpec(
+                        site="worker.death", mode="exit", point=1,
+                        unit=3, attempt=0,
+                    ),
+                ),
+                name="late-replacement",
+            )
+            run_experiment(config, jobs=2, fault_plan=plan)
+        codes = [process.exitcode for process in spawned]
+        if path == "crash":
+            assert sorted(codes) == [0, 0, 78]
+        else:
+            assert codes == [0, 0]
+
+    def test_workers_dying_before_joining_exhaust_the_budget(
+        self, config, monkeypatch
+    ):
+        # Spawned workers count as live until they die; ones that die
+        # before joining are replaced until the respawn budget runs out.
+        import repro.service.coordinator as coordinator
+
+        def doomed_spawn(host, port):
+            process = multiprocessing.Process(target=_exit_immediately)
+            process.start()
+            return process
+
+        monkeypatch.setattr(coordinator, "spawn_worker", doomed_spawn)
+        with pytest.raises(ExperimentError, match="kept dying"):
+            run_experiment(config, jobs=2)
+
+    def test_worker_errors_keep_their_type_across_paths(self, config):
+        bogus = dataclasses.replace(config, ls_policy="bogus")
+        messages = []
+        for run in (
+            lambda: run_experiment(bogus, failure_policy="raise"),
+            lambda: run_experiment(bogus, jobs=2, failure_policy="raise"),
+            lambda: run_service_sweep(
+                bogus, workers=2, failure_policy="raise"
+            ),
+        ):
+            with pytest.raises(AnalysisError) as caught:
+                run()
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] == messages[2]
+
+    def test_error_frames_resolve_only_known_exception_types(self):
+        from repro.errors import WorkerCrashError
+        from repro.service.coordinator import _worker_error
+
+        def rebuilt(name):
+            return _worker_error({"type": name, "message": "boom"}, (1, 2))
+
+        assert type(rebuilt("WorkerCrashError")) is WorkerCrashError
+        assert type(rebuilt("RuntimeError")) is RuntimeError
+        assert str(rebuilt("RuntimeError")) == "boom"
+        # Unknown names, non-exception attributes, BaseException-only
+        # types, and constructors that need more than a message all
+        # become an ExperimentError naming the original type.
+        for name in ("LinAlgError", "annotations", "KeyboardInterrupt",
+                     "UnicodeDecodeError"):
+            error = rebuilt(name)
+            assert type(error) is ExperimentError
+            assert f"(point 1, set 2): {name}: boom" in str(error)
 
 
 class TestServeSubmitLoop:
