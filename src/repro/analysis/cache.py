@@ -87,13 +87,14 @@ _F = TypeVar("_F", bound=Callable[..., object])
 
 
 def bound_producer(fn: _F) -> _F:
-    """Mark a function as an approved producer of ``("lp", ...)`` entries.
+    """Mark a function as an approved producer of bound entries.
 
-    Screening bounds are *upper* bounds, not optima; a screen entry
+    Bound entries — ``("lp", ub)`` screens and ``("interval", lb, ub)``
+    decisions — bracket an optimum without being one; a bound entry
     must never be able to shadow an exact ``("milp", ...)`` verdict.
     The persistent store enforces that dynamically with rank-ordered
     upserts, and the ``screen-soundness`` lint rule enforces the
-    *direction* statically: every call that writes an ``("lp", ...)``
+    *direction* statically: every call that writes a bound-entry
     tuple into a cache/store must sit inside a function carrying this
     decorator, so new bound producers are an explicit, reviewable act
     rather than an accident of refactoring. The decorator itself is
@@ -103,17 +104,40 @@ def bound_producer(fn: _F) -> _F:
     return fn
 
 
-def _entry_rank(value: object) -> int:
-    """Soundness rank of a cache entry: screens below exact verdicts.
+#: Memory-tier twin of :data:`repro.analysis.store.ENTRY_RANKS` (kept
+#: here so the cache does not import the sqlite layer; the
+#: ``screen-soundness`` lint rule checks both orders).
+_MEMORY_RANKS = {"lp": 1, "interval": 2, "milp": 3}
 
-    Mirrors :func:`repro.analysis.store.entry_rank` for the memory
-    tier without importing the sqlite layer: ``("lp", bound)`` screen
-    entries rank below everything else (``("milp", ...)`` tuples and
-    bare solved objectives are exact).
+
+def _entry_rank(value: object) -> int:
+    """Soundness rank of a cache entry: bounds below exact verdicts.
+
+    ``("lp", bound)`` screens rank lowest, ``("interval", lb, ub)``
+    decisions next; ``("milp", ...)`` tuples and bare solved objectives
+    are exact.
     """
-    if isinstance(value, tuple) and value and value[0] == "lp":
-        return 1
-    return 2
+    if isinstance(value, tuple) and value and value[0] in _MEMORY_RANKS:
+        return _MEMORY_RANKS[value[0]]
+    return _MEMORY_RANKS["milp"]
+
+
+def entry_bounds(value: object) -> tuple[float | None, float | None]:
+    """``(lower, upper)`` bounds an entry proves on a delay optimum.
+
+    An exact entry pins both sides; an LP screen gives an upper bound
+    only; a decided interval gives whichever sides its decision proved.
+    Anything else proves nothing (``(None, None)``).
+    """
+    if not (isinstance(value, tuple) and value):
+        return None, None
+    if value[0] == "milp":
+        return value[1], value[1]
+    if value[0] == "lp":
+        return None, value[1]
+    if value[0] == "interval":
+        return value[1], value[2]
+    return None, None
 
 
 class AnalysisCache:
@@ -195,7 +219,7 @@ class AnalysisCache:
             return
         existing = self._entries.get(key)
         if existing is not None and _entry_rank(value) < _entry_rank(existing):
-            # A screening bound never overwrites an exact verdict —
+            # A bound entry never overwrites an exact verdict —
             # the memory-tier twin of the store's rank-ordered upsert.
             return
         self._remember(key, value)

@@ -14,8 +14,9 @@ solved once and cross-checkable against its closed form).
 
 Cost model
 ----------
-The integer solve is the expensive step, so the driver works through a
-cascade of strictly cheaper sufficient conditions before reaching it:
+The integer solve is the expensive step, so the verdict path works
+through a cascade of strictly cheaper sufficient conditions before
+reaching it, and asks the integer model only the question it needs:
 
 1. **vectorised closed form** — every task's conservative fixpoint,
    batched over the whole set with numpy
@@ -23,21 +24,38 @@ cascade of strictly cheaper sufficient conditions before reaching it:
 2. **batched LP screen** — the deadline-window models of the tasks the
    closed form could not prove, LP-relaxed and solved as one
    block-diagonal LP (:func:`repro.milp.relaxation.screen_batch`);
-3. **LP fixpoint** — the response-time iteration evaluated on LP bounds
-   only; it dominates the MILP iteration termwise, so a converged LP
-   fixpoint within the deadline proves schedulability;
-4. **warm-started integer fixpoint** — one compiled model is kept alive
+3. **deadline decision** — the integer model at the deadline window
+   ``t_D`` is asked "is the optimum at most ``D - u``?" rather than
+   solved (:meth:`repro.milp.model.MilpBackend.decide`). HiGHS answers
+   with one feasibility solve of the model plus the row
+   ``delay >= D - u + eps``: infeasible proves "<=", and with it the
+   deadline (``f(D) <= D`` makes ``D`` a pre-fixpoint of the monotone
+   response map); a verified witness proves ">";
+4. **LP fixpoint** — the response-time iteration evaluated on upper
+   bounds only (LP relaxations, sharper cached bounds); it dominates
+   the MILP iteration termwise, so a converged LP fixpoint within the
+   deadline proves schedulability;
+5. **decided, warm-started integer fixpoint** — each step first asks
+   the same decision; a verified witness above ``D - u`` ends the
+   iteration as unschedulable (the witness is at most the exact step
+   value, and the exact iteration never decreases). Only a "<=" step
+   is solved to its exact value, on one compiled model kept alive
    across iterations (rows retargeted in place, see
-   :func:`~repro.analysis.proposed.formulation.update_delay_milp`), and
-   at each new window the LP relaxation is checked against the
+   :func:`~repro.analysis.proposed.formulation.update_delay_milp`).
+   At each new window the LP relaxation is checked against the
    incumbent first: ``lp <= incumbent`` squeezes the optimum to exactly
    the incumbent (monotone fixpoint from below), so the iteration is
    converged without the integer solve — and with the bit-identical
    response the solved path would have produced.
 
-Every memoised value is tagged (``("milp", ...)`` exact optimum /
-``("lp", bound)`` screening bound) so the two-tier analysis cache can
-persist them across runs; see :mod:`repro.analysis.store`.
+``response_time``/``analyze`` (the WCRT values) and ``screening=False``
+(the unscreened oracle) never decide: they solve every step exactly.
+
+Every memoised value is tagged — ``("milp", ...)`` exact optimum,
+``("interval", lb, ub)`` what a decision proved, ``("lp", bound)``
+screening bound — so the two-tier analysis cache can persist them
+across runs and a warm verdict run makes no solver call at all; see
+:mod:`repro.analysis.store`.
 """
 
 from __future__ import annotations
@@ -52,6 +70,7 @@ from repro.analysis.cache import (
     bound_producer,
     case_b_key,
     delay_milp_key,
+    entry_bounds,
 )
 from repro.analysis.interface import AnalysisOptions, TaskResult, TaskSetResult
 from repro.analysis.proposed.closed_form import (
@@ -73,7 +92,7 @@ from repro.analysis.proposed.intervals import (
 )
 from repro.errors import InfeasibleModelError, SolverError, UnboundedModelError
 from repro.milp.highs import HighsBackend
-from repro.milp.model import MilpBackend, MilpModel
+from repro.milp.model import MilpBackend, MilpDecision, MilpModel
 from repro.milp.relaxation import LpRelaxationBackend, screen_batch
 from repro.milp.resilient import ResilientBackend
 from repro.milp.solution import MilpSolution, SolveStatus
@@ -128,14 +147,16 @@ class _DelayEval:
     """One evaluation of the delay map ``f`` at a window.
 
     ``objective`` is the MILP optimum (the delaying-interval length;
-    add ``copy_out`` for the response), except when ``proved_met`` is
-    set: then only the LP relaxation ran and ``objective`` is its
-    over-approximating bound, already known to fit the deadline.
+    add ``copy_out`` for the response), except when a deadline settled
+    the evaluation without it. With ``proved_met`` set, ``objective``
+    is an upper bound (an LP relaxation or a decided "<=") already
+    known to fit the deadline; with ``proved_missed`` set, it is a
+    lower bound (a verified witness) already known to exceed it.
     """
 
     __slots__ = (
         "objective", "num_intervals", "stats", "degradation",
-        "cached", "proved_met",
+        "cached", "proved_met", "proved_missed",
     )
 
     def __init__(
@@ -146,6 +167,7 @@ class _DelayEval:
         degradation: int,
         cached: bool,
         proved_met: bool = False,
+        proved_missed: bool = False,
     ) -> None:
         self.objective = objective
         self.num_intervals = num_intervals
@@ -153,6 +175,7 @@ class _DelayEval:
         self.degradation = degradation
         self.cached = cached
         self.proved_met = proved_met
+        self.proved_missed = proved_missed
 
 
 class ProposedAnalysis:
@@ -292,10 +315,10 @@ class ProposedAnalysis:
             - task.copy_out
         )
 
-    def _solve_model(
-        self, model: MilpModel, taskset: TaskSet, task: Task, mode: AnalysisMode
-    ) -> MilpSolution:
-        """Solve one delay MILP, resiliently when options ask for it."""
+    def _backend(
+        self, taskset: TaskSet, task: Task, mode: AnalysisMode
+    ) -> MilpBackend:
+        """A fresh backend for one delay MILP, resilient when asked."""
         backend = self.backend_factory()
         resilience = self.options.resilience
         if resilience is not None and not isinstance(backend, ResilientBackend):
@@ -306,7 +329,13 @@ class ProposedAnalysis:
                     taskset, task, mode
                 ),
             )
-        return model.solve(backend)
+        return backend
+
+    def _solve_model(
+        self, model: MilpModel, taskset: TaskSet, task: Task, mode: AnalysisMode
+    ) -> MilpSolution:
+        """Solve one delay MILP, resiliently when options ask for it."""
+        return model.solve(self._backend(taskset, task, mode))
 
     def _solver_signature(self) -> tuple:
         """Solver-relevant options included in every cache key.
@@ -454,7 +483,8 @@ class ProposedAnalysis:
         window: Time,
         mode: AnalysisMode,
         hp_wcrt: dict[str, Time] | None,
-        lp_screen_deadline: Time | None = None,
+        deadline: Time | None = None,
+        need_value: bool = False,
         slot: "_IncrementalSlot | None" = None,
         warm_objective: float | None = None,
     ) -> _DelayEval:
@@ -467,92 +497,105 @@ class ProposedAnalysis:
         resilient backend substituted a weaker bound — are never
         stored, so a retry keeps its chance of a sharper value.
 
-        With ``lp_screen_deadline`` set (verdict path, exact-MILP
-        method only), an ``lp``-tagged bound — cached or freshly
-        relaxed — that fits the deadline skips the integer solve and
-        the eval comes back ``proved_met`` (relaxing a maximisation can
-        only raise the objective).
+        With ``deadline`` set (verdict path, exact-MILP method only),
+        the caller only needs to know whether ``f(window) + copy_out``
+        fits the deadline. A known upper bound that fits — an
+        ``lp``-tagged relaxation, cached or freshly relaxed, or the
+        upper side of a decided ``interval`` — comes back
+        ``proved_met`` (relaxing a maximisation can only raise the
+        objective). A known lower bound that does not fit comes back
+        ``proved_missed``. Otherwise the integer model is asked the
+        threshold decision ``f(window) <= deadline - copy_out`` instead
+        of being solved (:meth:`MilpBackend.decide`), and the decided
+        interval is stored. With ``need_value`` (a fixpoint step) a
+        fitting bound is not enough: the step then solves exactly, and
+        only a verified "does not fit" settles it early.
 
         With ``warm_objective`` set (fixpoint path: the incumbent
-        objective of the previous iteration), an LP bound at or below
-        the incumbent proves the new window's optimum *equals* the
-        incumbent: the optimum cannot drop below it (the solved path
-        would have taken the convergence branch and kept the incumbent
-        response either way), and the relaxation caps it from above.
-        The integer solve is skipped and the returned objective is
-        bit-identical to the solved path's.
+        objective of the previous iteration), an upper bound at or
+        below the incumbent proves the new window's optimum *equals*
+        the incumbent: the optimum cannot drop below it (the solved
+        path would have taken the convergence branch and kept the
+        incumbent response either way), and the bound caps it from
+        above. The integer solve is skipped and the returned objective
+        is bit-identical to the solved path's.
         """
         key, n = self._delay_key(taskset, task, window, mode, hp_wcrt)
         entry = self.cache.get(key)
-        lp_bound: float | None = None
-        if isinstance(entry, tuple) and entry:
-            if entry[0] == "milp":
-                _, objective, num_intervals, stats, degradation = entry
-                return _DelayEval(
-                    objective,
-                    int(num_intervals),
-                    dict(stats),
-                    int(degradation),
-                    cached=True,
-                )
-            if entry[0] == "lp":
-                lp_bound = entry[1]
-        screening = lp_screen_deadline is not None and self.method == "milp"
-        if lp_bound is not None:
-            if (
-                screening
-                and lp_bound + task.copy_out <= lp_screen_deadline + 1e-9
-            ):
-                self.cache.bump("lp_screens")
-                return _DelayEval(
-                    lp_bound, n, {}, 0, cached=True, proved_met=True
-                )
-            if warm_objective is not None and lp_bound <= warm_objective:
-                self.cache.bump("milp_warm_starts")
-                return _DelayEval(warm_objective, n, {}, 0, cached=True)
+        if isinstance(entry, tuple) and entry and entry[0] == "milp":
+            _, objective, num_intervals, stats, degradation = entry
+            return _DelayEval(
+                objective,
+                int(num_intervals),
+                dict(stats),
+                int(degradation),
+                cached=True,
+            )
+        lower, upper = entry_bounds(entry)
+        if self.method != "milp":
+            deadline = None  # bounds and decisions serve the exact method
+        settled = self._settle(
+            task, n, {}, lower, upper, deadline, need_value, warm_objective,
+            cached=True,
+            lp_upper=isinstance(entry, tuple) and bool(entry) and entry[0] == "lp",
+        )
+        if settled is not None:
+            return settled
         built = self._obtain_model(slot, taskset, task, window, mode, hp_wcrt)
-        if (
-            warm_objective is not None
-            and lp_bound is None
-            and self.method == "milp"
+        if upper is None and self.method == "milp" and (
+            deadline is not None or warm_objective is not None
         ):
+            # The LP relaxation of the same formulation is a safe
+            # over-approximation and far cheaper than any integer
+            # solve; the model is built once and shared with the
+            # integer solve below.
             relaxed = self._lp_relax(built, task, mode)
             if relaxed is not None and relaxed.status is SolveStatus.OPTIMAL:
-                lp_bound = relaxed.objective
-                self.cache.put(key, ("lp", lp_bound))
-                if lp_bound <= warm_objective:
-                    self.cache.bump("milp_warm_starts")
-                    return _DelayEval(
-                        warm_objective,
-                        built.num_intervals,
-                        dict(built.stats),
-                        0,
-                        cached=False,
+                upper = relaxed.objective
+                bound = (
+                    ("lp", upper) if lower is None
+                    else ("interval", lower, upper)
+                )
+                self.cache.put(key, bound)
+                settled = self._settle(
+                    task, built.num_intervals, dict(built.stats), lower,
+                    upper, deadline, need_value, warm_objective,
+                    cached=False, lp_upper=True,
+                )
+                if settled is not None:
+                    return settled
+        solution: MilpSolution | None = None
+        if deadline is not None and (
+            upper is None or upper + task.copy_out > deadline + 1e-9
+        ):
+            decision = self._decide(
+                built, taskset, task, mode, deadline - task.copy_out
+            )
+            solution = decision.solution
+            if solution is None:
+                if decision.lower is not None:
+                    lower = (
+                        decision.lower if lower is None
+                        else max(lower, decision.lower)
                     )
-        if screening and lp_bound is None:
-            # Middle screening tier: the LP relaxation of the same
-            # formulation is a safe over-approximation — if even it
-            # fits the deadline, the MILP bound does too, and the
-            # integer solve never runs. The model is built exactly
-            # once and shared with the integer solve below.
-            relaxed = self._lp_relax(built, task, mode)
-            if relaxed is not None and relaxed.status is SolveStatus.OPTIMAL:
-                self.cache.put(key, ("lp", relaxed.objective))
-                if (
-                    relaxed.objective + task.copy_out
-                    <= lp_screen_deadline + 1e-9
-                ):
-                    self.cache.bump("lp_screens")
-                    return _DelayEval(
-                        relaxed.objective,
-                        built.num_intervals,
-                        dict(built.stats),
-                        0,
-                        cached=False,
-                        proved_met=True,
+                if decision.upper is not None:
+                    upper = (
+                        decision.upper if upper is None
+                        else min(upper, decision.upper)
                     )
-        solution = self._solve_model(built.model, taskset, task, mode)
-        self.cache.bump("lp_solves" if self.method == "lp" else "milp_solves")
+                self.cache.put(key, ("interval", lower, upper))
+                settled = self._settle(
+                    task, built.num_intervals, dict(built.stats), lower,
+                    upper, deadline, need_value, warm_objective,
+                    cached=False, lp_upper=False,
+                )
+                if settled is not None:
+                    return settled
+        if solution is None:
+            solution = self._solve_model(built.model, taskset, task, mode)
+            self.cache.bump(
+                "lp_solves" if self.method == "lp" else "milp_solves"
+            )
         obs.emit(
             "solve",
             task=task.name,
@@ -593,6 +636,86 @@ class ProposedAnalysis:
             cached=False,
         )
 
+    def _settle(
+        self,
+        task: Task,
+        num_intervals: int,
+        stats: dict,
+        lower: float | None,
+        upper: float | None,
+        deadline: Time | None,
+        need_value: bool,
+        warm_objective: float | None,
+        cached: bool,
+        lp_upper: bool,
+    ) -> _DelayEval | None:
+        """Settle an evaluation from known bounds, or ``None``.
+
+        See :meth:`_delay_objective`: a lower bound past the deadline
+        settles it as missed, an upper bound within it as met (unless
+        the caller needs the value), and an upper bound at or below
+        the warm incumbent pins the value to the incumbent.
+        ``lp_upper`` says the upper bound is an LP screen, which is
+        what the ``lp_screens`` counter counts.
+        """
+        if deadline is not None:
+            if lower is not None and lower + task.copy_out > deadline + 1e-9:
+                return _DelayEval(
+                    lower, num_intervals, stats, 0, cached, proved_missed=True
+                )
+            if (
+                not need_value
+                and upper is not None
+                and upper + task.copy_out <= deadline + 1e-9
+            ):
+                if lp_upper:
+                    self.cache.bump("lp_screens")
+                return _DelayEval(
+                    upper, num_intervals, stats, 0, cached, proved_met=True
+                )
+        if (
+            warm_objective is not None
+            and upper is not None
+            and upper <= warm_objective
+        ):
+            self.cache.bump("milp_warm_starts")
+            return _DelayEval(warm_objective, num_intervals, stats, 0, cached)
+        return None
+
+    def _decide(
+        self,
+        built: DelayMilp,
+        taskset: TaskSet,
+        task: Task,
+        mode: AnalysisMode,
+        threshold: float,
+    ) -> MilpDecision:
+        """Ask one delay MILP "optimum <= threshold?" (counted, traced).
+
+        Every backend solve the decision made counts as one
+        ``milp_solves`` — the HiGHS proof and, when it was undecided,
+        the exact solve it fell back to.
+        """
+        decision = built.model.decide(
+            threshold, self._backend(taskset, task, mode)
+        )
+        self.cache.bump("milp_solves", decision.solves)
+        if decision.solution is not None:
+            outcome = "solved"
+        else:
+            outcome = "leq" if decision.leq else "gt"
+        obs.emit(
+            "solve.decision",
+            task=task.name,
+            dur=decision.runtime_seconds,
+            mode=mode.value,
+            outcome=outcome,
+            threshold=threshold,
+            rows=built.stats.get("constraints"),
+            vars=built.stats.get("variables"),
+        )
+        return decision
+
     def _solve_case_b(self, taskset: TaskSet, task: Task) -> Time:
         key = case_b_key(taskset, task, self._solver_signature())
         entry = self.cache.get(key)
@@ -624,8 +747,24 @@ class ProposedAnalysis:
 
     # ------------------------------------------------------------------
     def _iterate(
-        self, taskset: TaskSet, task: Task, mode: AnalysisMode
+        self,
+        taskset: TaskSet,
+        task: Task,
+        mode: AnalysisMode,
+        deadline: Time | None = None,
     ) -> _IterationOutcome:
+        """Iterate the response-time fixpoint from below.
+
+        With ``deadline`` set (the verdict path) each step may end the
+        iteration early: a step whose threshold decision returns a
+        verified witness above ``deadline - copy_out`` stops it as
+        unschedulable, with the witness response as the reported bound.
+        That is sound because the witness is a lower bound on the step's
+        exact value ``f(R_k)``, and the responses of the plain iteration
+        never decrease — it would report a WCRT at least that large.
+        The reported WCRT is then only a lower bound on the true one;
+        the verdict, not the value, is what the verdict path consumes.
+        """
         options = self.options
         if self.method == "closed_form":
             blocking = 2 if mode in (AnalysisMode.NLS, AnalysisMode.WASLY) else 1
@@ -659,6 +798,7 @@ class ProposedAnalysis:
             ):
                 evaluated = self._delay_objective(
                     taskset, task, window, mode, hp_wcrt,
+                    deadline=deadline, need_value=True,
                     slot=slot, warm_objective=prev_objective,
                 )
             if evaluated.cached:
@@ -673,6 +813,9 @@ class ProposedAnalysis:
                     evaluated.degradation,
                 )
             new_response = evaluated.objective + task.copy_out
+            if evaluated.proved_missed:
+                response = max(response, new_response)
+                break
             if new_response <= response + options.convergence_eps:
                 response = max(response, new_response)
                 converged = True
@@ -811,14 +954,17 @@ class ProposedAnalysis:
         """Screen: does the LP-relaxed fixpoint stay within the deadline?
 
         Iterates the response-time fixpoint with every evaluation of
-        the delay map replaced by its LP-relaxation bound (or an exact
-        cached optimum, which is only sharper). The LP map dominates
-        the MILP map pointwise and both are monotone in the window, so
-        this iteration dominates the integer iteration termwise — a
-        converged LP fixpoint within the deadline proves the task
-        schedulable without a single integer solve. Inconclusive
-        whenever a relaxation fails or the iteration leaves the
-        deadline; the caller then falls back to the exact fixpoint.
+        the delay map replaced by an upper bound: its LP-relaxation
+        bound, or a sharper cached one (an exact optimum, the upper
+        side of a decided interval). Every such bound dominates the
+        MILP map pointwise, so a point where the bounded iteration
+        converges within the deadline is a pre-fixpoint of the exact
+        response map and, that map being monotone, lies above its
+        least fixpoint — the task is schedulable without a single
+        integer solve. Inconclusive whenever a relaxation fails or the
+        iteration leaves the deadline (a cached lower bound past the
+        deadline says so at once); the caller then falls back to the
+        exact fixpoint.
         """
         if self.method != "milp":
             return False
@@ -830,14 +976,12 @@ class ProposedAnalysis:
                 response - task.exec_time - task.copy_out, task.copy_in
             )
             key, _ = self._delay_key(taskset, task, window, mode, hp_wcrt)
-            entry = self.cache.get(key)
-            bound: float | None = None
+            lower, bound = entry_bounds(self.cache.get(key))
             if (
-                isinstance(entry, tuple)
-                and entry
-                and entry[0] in ("milp", "lp")
+                lower is not None
+                and lower + task.copy_out > task.deadline + 1e-9
             ):
-                bound = entry[1]
+                return False  # f already exceeds the deadline here
             if bound is None:
                 built = self._obtain_model(
                     slot, taskset, task, window, mode, hp_wcrt
@@ -846,7 +990,11 @@ class ProposedAnalysis:
                 if relaxed is None or relaxed.status is not SolveStatus.OPTIMAL:
                     return False
                 bound = relaxed.objective
-                self.cache.put(key, ("lp", bound))
+                entry = (
+                    ("lp", bound) if lower is None
+                    else ("interval", lower, bound)
+                )
+                self.cache.put(key, entry)
             new_response = bound + task.copy_out
             if new_response <= response + options.convergence_eps:
                 return max(response, new_response) <= task.deadline + 1e-9
@@ -873,18 +1021,25 @@ class ProposedAnalysis:
            individually otherwise): the response map ``f`` is monotone,
            so ``f(D) <= D`` makes ``D`` a pre-fixpoint and the least
            fixpoint (the WCRT bound) is ``<= D``;
-        3. one integer evaluation at ``t_D`` decides the same way;
+        3. one integer *decision* at ``t_D`` — "is the optimum at most
+           ``D - u``?", answered by a feasibility solve instead of an
+           optimisation (:meth:`MilpBackend.decide`) — proves it the
+           same way when the answer is "<="; ">" moves on;
         4. the LP-only fixpoint screen proves schedulability when it
            converges within the deadline;
-        5. otherwise the standard bottom-up iteration decides.
+        5. otherwise the bottom-up iteration decides, each step first
+           asking the same decision: a verified witness above
+           ``D - u`` ends it as unschedulable (see :meth:`_iterate`),
+           and only a "<=" step is solved to its exact value.
 
-        ``options.screening=False`` skips tiers 1-4 entirely (for the
-        exact-MILP method; the closed form *is* the decision procedure
-        of ``method="closed_form"`` and always runs) and decides every
-        verdict with tier 5 — the unscreened baseline
-        ``BENCH_milp.json`` measures. Every skipped tier only ever
-        *proves* schedulability the iteration would also prove, so the
-        verdict is identical either way.
+        ``options.screening=False`` skips tiers 1-4 and the decisions
+        of tier 5 entirely (for the exact-MILP method; the closed form
+        *is* the decision procedure of ``method="closed_form"`` and
+        always runs) and decides every verdict with the plain
+        iteration — the unscreened oracle ``BENCH_milp.json`` measures
+        and the benchmark's reference outputs were checked against.
+        Every skipped tier only ever proves what the iteration would
+        also prove, so the verdict is identical either way.
         """
         if task.trivially_unschedulable:
             return False
@@ -917,23 +1072,19 @@ class ProposedAnalysis:
             task.deadline - task.exec_time - task.copy_out, task.copy_in
         )
         evaluated = self._delay_objective(
-            taskset,
-            task,
-            window_d,
-            mode,
-            hp_wcrt,
-            lp_screen_deadline=task.deadline,
+            taskset, task, window_d, mode, hp_wcrt, deadline=task.deadline
         )
         if evaluated.proved_met:
             return True
-        if evaluated.objective + task.copy_out <= task.deadline + 1e-9:
-            return True
-        if self.options.screening and self._lp_fixpoint_leq(
-            taskset, task, mode, hp_wcrt
+        if (
+            not evaluated.proved_missed
+            and evaluated.objective + task.copy_out <= task.deadline + 1e-9
         ):
+            return True
+        if self._lp_fixpoint_leq(taskset, task, mode, hp_wcrt):
             self.cache.bump("screened_out")
             return True
-        outcome = self._iterate(taskset, task, mode)
+        outcome = self._iterate(taskset, task, mode, deadline=task.deadline)
         return outcome.wcrt <= task.deadline + 1e-9
 
     def verdict(self, taskset: TaskSet, task: Task) -> bool:

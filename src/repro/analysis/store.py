@@ -14,12 +14,14 @@ Design notes
   MILP's full semantic content, two workers racing on one digest write
   payloads describing the same mathematical optimum, and the rank rule
   below makes the race outcome order-independent.
-* **Entry ranks.** An entry is either an exact solved optimum
-  (``milp``-tagged, rank 2) or an LP-relaxation screening bound
-  (``lp``-tagged, rank 1). An upsert only replaces a row when the new
-  rank is strictly higher — an exact optimum upgrades a screening
-  bound, never the other way around — so the store converges to the
-  same content regardless of writer interleaving.
+* **Entry ranks.** An entry is an exact solved optimum
+  (``milp``-tagged, rank 3), a decided interval ``[lb, ub]`` around the
+  optimum (``interval``-tagged, rank 2: what a threshold decision
+  proved, see :meth:`repro.milp.model.MilpBackend.decide`), or an
+  LP-relaxation screening bound (``lp``-tagged, rank 1). An upsert only
+  replaces a row when the new rank is strictly higher — an exact
+  optimum upgrades a bound, never the other way around — so the store
+  converges to the same content regardless of writer interleaving.
 * **Corruption.** Every payload is stored next to its sha256; a reader
   that finds a mismatch (torn write, bit rot, injected fault) deletes
   the row and reports it to the caller, which re-solves. A corrupted
@@ -48,18 +50,20 @@ from repro.faults import injection
 
 #: Bump when the payload encoding, digest inputs, or table layout
 #: change; mismatching stores are discarded on open (see module notes).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Rank of each entry tag; upserts replace a row only with a strictly
-#: higher rank (exact optima upgrade screening bounds, never vice
-#: versa), which makes concurrent writes order-independent.
-ENTRY_RANKS = {"lp": 1, "milp": 2}
+#: higher rank (exact optima upgrade decided intervals, which upgrade
+#: screening bounds, never vice versa), which makes concurrent writes
+#: order-independent.
+ENTRY_RANKS = {"lp": 1, "interval": 2, "milp": 3}
 
 
 def _encode(value: object) -> str:
     """Canonical JSON text of one cache entry.
 
     Entries are tuples ``("milp", objective, n, stats, degradation)``,
+    ``("interval", lb, ub)`` (either side ``None`` when unknown),
     ``("lp", bound)``, or bare floats (the case-(b) memo); tuples are
     JSON lists. ``json`` round-trips Python floats exactly (it emits
     ``repr`` and parses back the identical double), so a decoded entry
@@ -286,7 +290,11 @@ class PersistentStore:
 
     # -- maintenance (the ``repro cache`` subcommand) ------------------
     def stats(self) -> dict[str, object]:
-        """Entry counts, rank breakdown, schema version, file size."""
+        """Entry counts, rank breakdown, schema version, file size.
+
+        ``screen_entries`` counts every bound entry: LP screens and
+        decided intervals.
+        """
         conn = self._connect()
         total = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
         by_rank = {
@@ -301,7 +309,7 @@ class PersistentStore:
             "schema_version": SCHEMA_VERSION,
             "entries": total,
             "exact_entries": by_rank["milp"],
-            "screen_entries": by_rank["lp"],
+            "screen_entries": by_rank["lp"] + by_rank["interval"],
             "file_bytes": size,
         }
 

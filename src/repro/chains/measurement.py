@@ -11,11 +11,16 @@ analytic chain bound — the property tests assert measurement <= bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.chains.model import TaskChain
 from repro.errors import SimulationError
-from repro.sim.trace import Job, Trace
 from repro.types import TIME_EPS, Time
+
+if TYPE_CHECKING:
+    # Annotations only: importing the package (and with it
+    # ``repro.analysis``) must not load the simulators.
+    from repro.sim.trace import Job, Trace
 
 
 @dataclass(frozen=True)

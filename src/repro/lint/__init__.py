@@ -57,9 +57,11 @@ Rules
     by an fsync of the source file and followed by a directory sync.
     See :mod:`repro.lint.durable_write`.
 ``screen-soundness``
-    Every producer of ``("lp", bound)`` screening entries carries the
-    ``@bound_producer`` tag, and the store keeps its rank-ordered
-    upsert guards. See :mod:`repro.lint.screen_soundness`.
+    Every producer of bound entries (``("lp", ub)`` screens,
+    ``("interval", lb, ub)`` decisions) carries the ``@bound_producer``
+    tag, both rank tables order ``lp < interval < milp``, and the store
+    keeps its rank-ordered upsert guard. See
+    :mod:`repro.lint.screen_soundness`.
 """
 
 from repro.lint.engine import (

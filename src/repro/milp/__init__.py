@@ -6,12 +6,14 @@ offline: a modelling API (:class:`MilpModel`, :class:`Var`,
 :class:`LinExpr`) and two exact backends — SciPy's HiGHS wrapper
 (:class:`HighsBackend`) and a pure-Python branch-and-bound over LP
 relaxations (:class:`BranchBoundBackend`) used to cross-validate HiGHS
-on small instances.
+on small instances. Besides solving, every backend answers threshold
+decisions — "is the optimum at most theta?" — as a
+:class:`MilpDecision`.
 """
 
 from repro.milp.audit import AuditIssue, AuditReport, audit_model
 from repro.milp.expr import Constraint, LinExpr, Var
-from repro.milp.model import MilpModel
+from repro.milp.model import MilpDecision, MilpModel
 from repro.milp.solution import DegradationLevel, MilpSolution, SolveStatus
 from repro.milp.highs import HighsBackend
 from repro.milp.branch_bound import BranchBoundBackend
@@ -29,6 +31,7 @@ __all__ = [
     "Var",
     "LinExpr",
     "Constraint",
+    "MilpDecision",
     "MilpModel",
     "MilpSolution",
     "SolveStatus",

@@ -14,7 +14,14 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import BackendUnavailableError, SolverTimeoutError
-from repro.milp.model import MilpBackend, MilpModel
+from repro.milp import relaxation
+from repro.milp.model import (
+    DECISION_SLACK,
+    CompiledMilp,
+    MilpBackend,
+    MilpDecision,
+    MilpModel,
+)
 from repro.milp.solution import MilpSolution, SolveStatus
 from repro.obs import events as obs
 
@@ -39,6 +46,13 @@ _STATUS4_RETRY_LADDER: tuple[Mapping[str, object], ...] = (
     {"mip_feasibility_tolerance": 1e-7},
     {"presolve": False, "mip_feasibility_tolerance": 1e-7},
 )
+
+#: Offset of the threshold row ``c @ x >= threshold + eps`` of
+#: :meth:`HighsBackend.decide`. Infeasibility of that row proves
+#: ``opt < threshold + eps``, which must imply the verdict's
+#: ``opt <= threshold + DECISION_SLACK``: so ``eps`` stays strictly
+#: inside the slack, with room for the rounding of ``threshold + eps``.
+DECISION_ROW_EPS = DECISION_SLACK / 2
 
 
 class HighsBackend(MilpBackend):
@@ -73,6 +87,16 @@ class HighsBackend(MilpBackend):
         self.use_dual_bound = use_dual_bound
         self.extra_options = dict(extra_options) if extra_options else {}
 
+    def _options(self) -> dict[str, object]:
+        # The gap is always passed: left out, HiGHS would stop at its
+        # own default relative gap (1e-4) and report an incumbent below
+        # the proven dual bound as "optimal".
+        options: dict[str, object] = {"mip_rel_gap": self.mip_rel_gap}
+        if self.time_limit is not None:
+            options["time_limit"] = self.time_limit
+        options.update(self.extra_options)
+        return options
+
     def solve(self, model: MilpModel) -> MilpSolution:
         compiled = model.compile()
         # scipy minimises; our canonical sense is maximise.
@@ -83,12 +107,7 @@ class HighsBackend(MilpBackend):
                 compiled.row_matrix, compiled.row_lower, compiled.row_upper
             )
         bounds = Bounds(compiled.var_lower, compiled.var_upper)
-        options: dict[str, object] = {}
-        if self.time_limit is not None:
-            options["time_limit"] = self.time_limit
-        if self.mip_rel_gap:
-            options["mip_rel_gap"] = self.mip_rel_gap
-        options.update(self.extra_options)
+        options = self._options()
 
         start = time.perf_counter()
         result = milp(
@@ -96,7 +115,7 @@ class HighsBackend(MilpBackend):
             constraints=constraints,
             bounds=bounds,
             integrality=compiled.integrality,
-            options=options or None,
+            options=options,
         )
         for perturbation in _STATUS4_RETRY_LADDER:
             if result.status != 4:
@@ -124,6 +143,7 @@ class HighsBackend(MilpBackend):
             f"elapsed={elapsed:.2f}s"
         )
         status = _SCIPY_STATUS.get(result.status, SolveStatus.ERROR)
+        dual_bound = _dual_bound(result, compiled)
         obs.emit(
             "highs.solve",
             dur=elapsed,
@@ -131,6 +151,8 @@ class HighsBackend(MilpBackend):
             scipy_status=int(result.status),
             rows=compiled.num_rows,
             vars=compiled.num_vars,
+            nodes=_node_count(result),
+            dual_bound=dual_bound,
         )
         if status.has_solution and result.x is None:
             # Limit hit before any incumbent was found: there is no
@@ -158,18 +180,13 @@ class HighsBackend(MilpBackend):
         if (
             self.use_dual_bound
             and status is SolveStatus.TIME_LIMIT
-            and result.mip_dual_bound is not None
-            and np.isfinite(result.mip_dual_bound)
+            and dual_bound is not None
         ):
-            # Early stop: report the safe side. scipy's dual bound is
-            # for the minimisation of -obj, and is only meaningful when
-            # the solve actually stopped early (at optimality the
-            # incumbent is exact and some HiGHS builds report stale
-            # dual bounds).
-            objective = max(
-                objective,
-                float(-result.mip_dual_bound) + compiled.objective_constant,
-            )
+            # Early stop: report the safe side. The dual bound is only
+            # meaningful when the solve actually stopped early (at
+            # optimality the incumbent is exact and some HiGHS builds
+            # report stale dual bounds).
+            objective = max(objective, dual_bound)
         values = {var: float(x[var.index]) for var in compiled.variables}
         return MilpSolution(
             status=status,
@@ -177,5 +194,128 @@ class HighsBackend(MilpBackend):
             values=values,
             runtime_seconds=elapsed,
             backend=self.name,
-            node_count=getattr(result, "mip_node_count", None),
+            node_count=_node_count(result),
         )
+
+    def decide(self, model: MilpModel, threshold: float) -> MilpDecision:
+        """Decide "optimum <= threshold?" with one feasibility solve.
+
+        The compiled model gets the extra row
+        ``c @ x >= threshold + DECISION_ROW_EPS`` and a zero objective,
+        so HiGHS only has to find *any* point above the threshold or
+        prove there is none — no optimality proof, no bound to close.
+
+        * scipy status 2 (infeasible) proves ``opt < threshold + eps``:
+          the answer is "<=", with that bound as ``upper``.
+        * status 0 returns a point. Its integers are snapped and its
+          continuous part is lifted to the best completion of that
+          integer structure (one LP,
+          :func:`repro.milp.relaxation.best_completion`: the first
+          point found sits on the threshold row, inside the slack).
+          The result is the witness: it must pass
+          :meth:`MilpModel.check_assignment` and its bounds, and its
+          objective, evaluated here, must clear
+          ``threshold + DECISION_SLACK``; the answer is then ">", with
+          the witness value as ``lower``.
+        * anything else (a limit, an error, a witness that fails the
+          check or lands within the slack) is undecided and falls back
+          to :meth:`solve` plus a comparison.
+
+        HiGHS' ``objective_bound``/``objective_target`` early stops are
+        deliberately not used: scipy reports them as status 4 without a
+        solution, and they have produced a wrong "optimal" before.
+        """
+        compiled = model.compile()
+        rhs = threshold - compiled.objective_constant + DECISION_ROW_EPS
+        constraints = LinearConstraint(
+            np.vstack([compiled.row_matrix, compiled.objective]),
+            np.append(compiled.row_lower, rhs),
+            np.append(compiled.row_upper, np.inf),
+        )
+        start = time.perf_counter()
+        result = milp(
+            c=np.zeros(compiled.num_vars),
+            constraints=constraints,
+            bounds=Bounds(compiled.var_lower, compiled.var_upper),
+            integrality=compiled.integrality,
+            options=self._options(),
+        )
+        elapsed = time.perf_counter() - start
+        x: np.ndarray | None = None
+        witness: float | None = None
+        if result.status == 0 and result.x is not None:
+            x = np.asarray(result.x, dtype=float).copy()
+            int_mask = compiled.integrality.astype(bool)
+            x[int_mask] = np.round(x[int_mask])
+            lifted = relaxation.best_completion(compiled, x)
+            if lifted is not None:
+                x = lifted
+            witness = _verified_objective(model, compiled, x)
+        if result.status == 2:
+            outcome = "leq"
+        elif witness is not None and witness > threshold + DECISION_SLACK:
+            outcome = "gt"
+        else:
+            outcome = "undecided"
+        obs.emit(
+            "highs.solve",
+            dur=elapsed,
+            model=model.name,
+            scipy_status=int(result.status),
+            rows=compiled.num_rows + 1,
+            vars=compiled.num_vars,
+            nodes=_node_count(result),
+            threshold=threshold,
+            outcome=outcome,
+        )
+        if outcome == "leq":
+            return MilpDecision(
+                threshold, True, upper=threshold + DECISION_ROW_EPS,
+                runtime_seconds=elapsed,
+            )
+        if outcome == "gt":
+            assert x is not None
+            return MilpDecision(
+                threshold,
+                False,
+                lower=witness,
+                values={var: float(x[var.index]) for var in compiled.variables},
+                runtime_seconds=elapsed,
+            )
+        return MilpDecision.from_solution(
+            threshold, self.solve(model), solves=2, runtime_seconds=elapsed
+        )
+
+
+def _node_count(result: object) -> int | None:
+    nodes = getattr(result, "mip_node_count", None)
+    return None if nodes is None else int(nodes)
+
+
+def _dual_bound(result: object, compiled: CompiledMilp) -> float | None:
+    """HiGHS' proven bound on the maximum (scipy reports it for -obj)."""
+    bound = getattr(result, "mip_dual_bound", None)
+    if bound is None or not np.isfinite(bound):
+        return None
+    return float(-bound) + compiled.objective_constant
+
+
+def _verified_objective(
+    model: MilpModel, compiled: CompiledMilp, x: np.ndarray
+) -> float | None:
+    """Objective of a solver point re-checked in our own arithmetic.
+
+    Integers of ``x`` are snapped in place as in
+    :meth:`HighsBackend.solve`; a point that then violates a bound or a
+    row of the model is no witness (``None``).
+    """
+    int_mask = compiled.integrality.astype(bool)
+    x[int_mask] = np.round(x[int_mask])
+    tol = 1e-6
+    if np.any(x < compiled.var_lower - tol) or np.any(
+        x > compiled.var_upper + tol
+    ):
+        return None
+    if model.check_assignment(x.tolist(), tol):
+        return None
+    return float(compiled.objective @ x) + compiled.objective_constant

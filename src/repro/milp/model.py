@@ -10,14 +10,63 @@ objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.milp.expr import Constraint, ExprLike, LinExpr, Var
-from repro.milp.solution import MilpSolution
+from repro.milp.solution import MilpSolution, SolveStatus
+
+#: Slack of every threshold decision: an optimum at most this far above
+#: the threshold still counts as "<= threshold". It is the verdict slack
+#: of the response-time analyses (``wcrt <= deadline + 1e-9``).
+DECISION_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class MilpDecision:
+    """Answer to "is the model's optimum at most ``threshold``?".
+
+    ``leq`` is the answer, up to :data:`DECISION_SLACK`. ``lower`` and
+    ``upper`` are bounds on the optimum that the answer proved (``None``
+    when it proved none): a "> threshold" answer carries the objective
+    of a verified feasible point as ``lower``, a "<= threshold" answer
+    proved by infeasibility carries the right-hand side of the threshold
+    row as ``upper``; ``values`` holds the witness of a ">" answer.
+    ``solution`` is set instead when the answer came from an ordinary
+    solve; it then says everything (including any degradation),
+    exactly as :meth:`MilpModel.solve` would have. ``solves`` counts
+    the backend solves made, the proof included.
+    """
+
+    threshold: float
+    leq: bool
+    lower: float | None = None
+    upper: float | None = None
+    values: Mapping[Var, float] = field(default_factory=dict)
+    solution: MilpSolution | None = None
+    solves: int = 1
+    runtime_seconds: float = 0.0
+
+    @classmethod
+    def from_solution(
+        cls, threshold: float, solution: MilpSolution, solves: int = 1,
+        runtime_seconds: float = 0.0,
+    ) -> "MilpDecision":
+        """The decision an ordinary solve implies: a plain comparison."""
+        if solution.status.has_solution:
+            leq = solution.objective <= threshold + DECISION_SLACK
+        else:
+            leq = solution.status is SolveStatus.INFEASIBLE
+        return cls(
+            threshold=threshold,
+            leq=leq,
+            solution=solution,
+            solves=solves,
+            runtime_seconds=runtime_seconds + solution.runtime_seconds,
+        )
 
 
 @dataclass(frozen=True)
@@ -275,6 +324,25 @@ class MilpModel:
                 defect. ``None`` defers to the class-wide opt-in
                 ``MilpModel.audit_before_solve``.
         """
+        return self._backend(backend, audit).solve(self)
+
+    def decide(
+        self,
+        threshold: float,
+        backend: "MilpBackend | None" = None,
+        audit: bool | None = None,
+    ) -> MilpDecision:
+        """Decide whether the optimum is at most ``threshold``.
+
+        Same backend default and audit gate as :meth:`solve`; see
+        :meth:`MilpBackend.decide` for what the answer proves.
+        """
+        return self._backend(backend, audit).decide(self, threshold)
+
+    def _backend(
+        self, backend: "MilpBackend | None", audit: bool | None
+    ) -> "MilpBackend":
+        """Run the pre-solve audit gate and resolve the default backend."""
         if audit is None:
             audit = MilpModel.audit_before_solve
         if audit:
@@ -289,7 +357,7 @@ class MilpModel:
             from repro.milp.highs import HighsBackend
 
             backend = HighsBackend()
-        return backend.solve(self)
+        return backend
 
     def check_assignment(
         self, values: Sequence[float], tol: float = 1e-6
@@ -316,3 +384,12 @@ class MilpBackend:
 
     def solve(self, model: MilpModel) -> MilpSolution:
         raise NotImplementedError
+
+    def decide(self, model: MilpModel, threshold: float) -> MilpDecision:
+        """Is the optimum of ``model`` at most ``threshold``?
+
+        The default solves the model and compares the objective, so
+        every backend can answer; a backend with a cheaper proof
+        overrides it (see :meth:`repro.milp.highs.HighsBackend.decide`).
+        """
+        return MilpDecision.from_solution(threshold, self.solve(model))

@@ -105,6 +105,31 @@ class LpRelaxationBackend(MilpBackend):
         )
 
 
+def best_completion(compiled: CompiledMilp, x: np.ndarray) -> np.ndarray | None:
+    """The best continuous completion of a point's integer part.
+
+    Fixes every integer variable at its value in ``x`` (already
+    integral) and maximises the objective over the continuous ones: one
+    LP. ``None`` when that LP has no optimum. A feasibility solve stops
+    at the first point it finds, which usually sits exactly on the row
+    that made it feasible; this lifts it to the best schedule with the
+    same integer structure.
+    """
+    int_mask = compiled.integrality.astype(bool)
+    lower = compiled.var_lower.copy()
+    upper = compiled.var_upper.copy()
+    lower[int_mask] = upper[int_mask] = x[int_mask]
+    constraints = None
+    if compiled.num_rows:
+        constraints = LinearConstraint(
+            compiled.row_matrix, compiled.row_lower, compiled.row_upper
+        )
+    result = _relaxed(-compiled.objective, constraints, Bounds(lower, upper))
+    if result.status != 0 or result.x is None:
+        return None
+    return np.asarray(result.x, dtype=float)
+
+
 def screen_batch(
     compiled: Sequence[CompiledMilp],
 ) -> list[float | None]:

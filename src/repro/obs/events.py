@@ -83,6 +83,8 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
               "degradation": "int", "rows": "int?", "vars": "int?"},
     "solve.screen": {"mode": "str", "status": "str", "rows": "int?",
                      "vars": "int?"},
+    "solve.decision": {"mode": "str", "outcome": "str", "threshold": "number",
+                       "rows": "int?", "vars": "int?"},
     "solve.screen_batch": {"size": "int"},
     "milp.incremental.update": {"mode": "str"},
     "milp.incremental.rebuild": {"mode": "str"},
@@ -123,8 +125,12 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     "resilience.fallback": {"model": "str", "level": "str"},
     "resilience.closed_form": {"model": "str"},
     "highs.retry": {"model": "str", "options": "object"},
+    # One per HiGHS call. ``threshold``/``outcome`` ("leq", "gt" or
+    # "undecided") mark a threshold decision (HighsBackend.decide);
+    # ``dual_bound`` is HiGHS' proven bound on the maximum.
     "highs.solve": {"model": "str", "scipy_status": "int", "rows": "int",
-                    "vars": "int"},
+                    "vars": "int", "nodes": "int?", "dual_bound": "number?",
+                    "threshold": "number?", "outcome": "str?"},
     # fault injection (one entry per site in repro.faults.plan.SITES;
     # mode/spec/plan come from Injection.fire, the rest are the
     # site-specific extras its callers forward)

@@ -26,14 +26,34 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import ObservabilityError
 from repro.obs.events import is_runtime_event
-from repro.sim.metrics import text_histogram
 
 #: Event name marking one captured taskset/protocol failure.
 FAILURE_EVENT = "protocol.failure"
 
 _CACHE_PREFIX = "cache."
+
+
+def text_histogram(
+    values: Sequence[float],
+    bins: int = 12,
+    width: int = 40,
+    title: str = "",
+) -> str:
+    """Render a horizontal text histogram of ``values``."""
+    if not values:
+        return f"{title}\n(no data)"
+    data = np.asarray(values, dtype=float)
+    counts, edges = np.histogram(data, bins=bins)
+    peak = max(int(counts.max()), 1)
+    lines = [title] if title else []
+    for count, lo, hi in zip(counts, edges, edges[1:]):
+        bar = "#" * int(round(width * count / peak))
+        lines.append(f"{lo:9.3f}-{hi:9.3f} |{bar:<{width}} {count}")
+    return "\n".join(lines)
 
 
 @dataclass

@@ -3,19 +3,21 @@
 Turns a simulation trace into the quantities a systems evaluation
 reports: per-task response-time statistics (min/mean/max/percentiles),
 CPU and DMA busy fractions, interval-length statistics, and protocol
-event counts (cancellations, urgent executions). A plain-text histogram
-renderer is included since no plotting library is available offline.
+event counts (cancellations, urgent executions). The plain-text
+histogram renderer lives in :mod:`repro.obs.profile` (the trace
+profiler uses it too, and obs sits below sim) and is re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.obs.profile import text_histogram
 from repro.sim.trace import Trace
 from repro.types import TIME_EPS, Time
 
@@ -194,25 +196,6 @@ def compute_metrics(trace: Trace) -> TraceMetrics:
     )
 
 
-def text_histogram(
-    values: Sequence[float],
-    bins: int = 12,
-    width: int = 40,
-    title: str = "",
-) -> str:
-    """Render a horizontal text histogram of ``values``."""
-    if not values:
-        return f"{title}\n(no data)"
-    data = np.asarray(values, dtype=float)
-    counts, edges = np.histogram(data, bins=bins)
-    peak = max(int(counts.max()), 1)
-    lines = [title] if title else []
-    for count, lo, hi in zip(counts, edges, edges[1:]):
-        bar = "#" * int(round(width * count / peak))
-        lines.append(f"{lo:9.3f}-{hi:9.3f} |{bar:<{width}} {count}")
-    return "\n".join(lines)
-
-
 def render_metrics(metrics: TraceMetrics) -> str:
     """Human-readable metrics report."""
     lines = [
@@ -235,3 +218,12 @@ def render_metrics(metrics: TraceMetrics) -> str:
             f"{stats.deadline:>8.2f}{stats.misses:>6}{stats.incomplete:>5}"
         )
     return "\n".join(lines)
+
+
+__all__ = [
+    "ResponseStats",
+    "TraceMetrics",
+    "compute_metrics",
+    "render_metrics",
+    "text_histogram",
+]

@@ -346,6 +346,12 @@ class TestScreenSoundnessRule:
             "untagged_screen_via_local()" in v.message for v in violations
         )
 
+    def test_untagged_interval_producer_flagged(self):
+        violations = run_lint(
+            _with_fixture("screen_bad"), rules=["screen-soundness"]
+        )
+        assert any("untagged_decision()" in v.message for v in violations)
+
     def test_stripping_real_decorator_fails(self):
         modules = dict(load_repo_modules())
         rt = modules["repro.analysis.proposed.response_time"]
@@ -378,8 +384,8 @@ class TestScreenSoundnessRule:
         store = modules["repro.analysis.store"]
         source = Path(store.path).read_text()
         tampered = source.replace(
-            'ENTRY_RANKS = {"lp": 1, "milp": 2}',
-            'ENTRY_RANKS = {"lp": 3, "milp": 2}',
+            'ENTRY_RANKS = {"lp": 1, "interval": 2, "milp": 3}',
+            'ENTRY_RANKS = {"lp": 4, "interval": 2, "milp": 3}',
         )
         assert tampered != source
         modules["repro.analysis.store"] = SourceModule.parse(
@@ -387,6 +393,30 @@ class TestScreenSoundnessRule:
         )
         violations = run_lint(modules, rules=["screen-soundness"])
         assert any("ENTRY_RANKS" in v.message for v in violations)
+
+    @pytest.mark.parametrize(
+        "module_name, table",
+        [
+            ("repro.analysis.store", "ENTRY_RANKS"),
+            ("repro.analysis.cache", "_MEMORY_RANKS"),
+        ],
+    )
+    def test_interval_ranked_outside_lp_and_milp_fails(
+        self, module_name, table
+    ):
+        modules = dict(load_repo_modules())
+        module = modules[module_name]
+        source = Path(module.path).read_text()
+        tampered = source.replace(
+            f'{table} = {{"lp": 1, "interval": 2, "milp": 3}}',
+            f'{table} = {{"lp": 1, "interval": 3, "milp": 3}}',
+        )
+        assert tampered != source
+        modules[module_name] = SourceModule.parse(
+            module.name, module.path, tampered
+        )
+        violations = run_lint(modules, rules=["screen-soundness"])
+        assert [v.message.split()[0] for v in violations] == [table]
 
 
 class TestProjectLoading:
