@@ -24,77 +24,70 @@ Quickstart::
         print(protocol, is_schedulable(ts, protocol))
 """
 
-from repro.analysis import (
-    AnalysisOptions,
-    NpsAnalysis,
-    ProposedAnalysis,
-    RegulatedAnalysis,
-    RegulationConfig,
-    TaskResult,
-    TaskSetResult,
-    ThresholdAnalysis,
-    WaslyAnalysis,
-    analyze_taskset,
-    greedy_ls_assignment,
-    is_schedulable,
-    register_protocol,
-    registered_protocols,
-)
-from repro.curves import (
-    ArrivalCurve,
-    BurstyArrival,
-    PeriodicJitterArrival,
-    SporadicArrival,
-)
-from repro.chains import TaskChain, chain_reaction_bound
-from repro.errors import ReproError
-from repro.io import load_taskset, save_taskset
-from repro.model import (
-    Platform,
-    Task,
-    TaskSet,
-    partition_tasks,
-)
-from repro.model.priorities import (
-    audsley_opa,
-    deadline_monotonic,
-    opa_with_analysis,
-    rate_monotonic,
-)
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Task",
-    "TaskSet",
-    "Platform",
-    "partition_tasks",
-    "TaskChain",
-    "chain_reaction_bound",
-    "load_taskset",
-    "save_taskset",
-    "deadline_monotonic",
-    "rate_monotonic",
-    "audsley_opa",
-    "opa_with_analysis",
-    "ArrivalCurve",
-    "SporadicArrival",
-    "PeriodicJitterArrival",
-    "BurstyArrival",
-    "AnalysisOptions",
-    "TaskResult",
-    "TaskSetResult",
-    "NpsAnalysis",
-    "WaslyAnalysis",
-    "ProposedAnalysis",
-    "ThresholdAnalysis",
-    "RegulatedAnalysis",
-    "RegulationConfig",
-    "register_protocol",
-    "registered_protocols",
-    "analyze_taskset",
-    "is_schedulable",
-    "greedy_ls_assignment",
-    "ReproError",
-    "__version__",
-]
+#: Public name -> the module that defines it. Names load on first
+#: access (PEP 562), so importing one subpackage (``import repro.sim``)
+#: loads only what that subpackage imports and the documented layering
+#: holds at import time too.
+_EXPORTS = {
+    **dict.fromkeys(
+        ["Task", "TaskSet", "Platform", "partition_tasks"], "repro.model"
+    ),
+    "RegulationConfig": "repro.model.platform",
+    **dict.fromkeys(["TaskChain", "chain_reaction_bound"], "repro.chains"),
+    **dict.fromkeys(["load_taskset", "save_taskset"], "repro.io"),
+    **dict.fromkeys(
+        [
+            "deadline_monotonic",
+            "rate_monotonic",
+            "audsley_opa",
+            "opa_with_analysis",
+        ],
+        "repro.model.priorities",
+    ),
+    **dict.fromkeys(
+        [
+            "ArrivalCurve",
+            "SporadicArrival",
+            "PeriodicJitterArrival",
+            "BurstyArrival",
+        ],
+        "repro.curves",
+    ),
+    **dict.fromkeys(
+        [
+            "AnalysisOptions",
+            "TaskResult",
+            "TaskSetResult",
+            "NpsAnalysis",
+            "WaslyAnalysis",
+            "ProposedAnalysis",
+            "ThresholdAnalysis",
+            "RegulatedAnalysis",
+            "register_protocol",
+            "registered_protocols",
+            "analyze_taskset",
+            "is_schedulable",
+            "greedy_ls_assignment",
+        ],
+        "repro.analysis",
+    ),
+    "ReproError": "repro.errors",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -21,12 +21,7 @@
 """
 
 from repro.analysis.cache import AnalysisCache, active_cache, cache_scope
-from repro.analysis.interface import (
-    AnalysisOptions,
-    RegulationConfig,
-    TaskResult,
-    TaskSetResult,
-)
+from repro.analysis.interface import AnalysisOptions, TaskResult, TaskSetResult
 from repro.analysis.nps import NpsAnalysis
 from repro.analysis.wasly import WaslyAnalysis
 from repro.analysis.proposed import ProposedAnalysis
@@ -46,6 +41,7 @@ from repro.analysis.ls_assignment import (
     greedy_ls_assignment,
 )
 from repro.analysis.schedulability import analyze_taskset, is_schedulable
+from repro.model.platform import RegulationConfig
 
 __all__ = [
     "AnalysisCache",

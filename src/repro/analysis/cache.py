@@ -94,32 +94,35 @@ def bound_producer(fn: _F) -> _F:
     must never be able to shadow an exact ``("milp", ...)`` verdict.
     The persistent store enforces that dynamically with rank-ordered
     upserts, and the ``screen-soundness`` lint rule enforces the
-    *direction* statically: every call that writes a bound-entry
-    tuple into a cache/store must sit inside a function carrying this
-    decorator, so new bound producers are an explicit, reviewable act
-    rather than an accident of refactoring. The decorator itself is
+    *direction* statically: every bound-entry tuple must be built
+    inside a function carrying this decorator, so new bound producers
+    are an explicit, reviewable act rather than an accident of
+    refactoring. The decorator itself is
     behaviour-neutral — it only tags the function object.
     """
     setattr(fn, "__bound_producer__", True)
     return fn
 
 
-#: Memory-tier twin of :data:`repro.analysis.store.ENTRY_RANKS` (kept
-#: here so the cache does not import the sqlite layer; the
-#: ``screen-soundness`` lint rule checks both orders).
-_MEMORY_RANKS = {"lp": 1, "interval": 2, "milp": 3}
+#: Rank of each entry tag, lowest first. A write never replaces an
+#: entry of higher rank: exact optima upgrade decided intervals, which
+#: upgrade screening bounds, never the other way round. The memory tier
+#: (:meth:`AnalysisCache.put`) and the sqlite store's upsert
+#: (:mod:`repro.analysis.store`) both rank by this one table; the
+#: ``screen-soundness`` lint rule pins its order.
+ENTRY_RANKS = {"lp": 1, "interval": 2, "milp": 3}
 
 
-def _entry_rank(value: object) -> int:
+def entry_rank(value: object) -> int:
     """Soundness rank of a cache entry: bounds below exact verdicts.
 
     ``("lp", bound)`` screens rank lowest, ``("interval", lb, ub)``
     decisions next; ``("milp", ...)`` tuples and bare solved objectives
     are exact.
     """
-    if isinstance(value, tuple) and value and value[0] in _MEMORY_RANKS:
-        return _MEMORY_RANKS[value[0]]
-    return _MEMORY_RANKS["milp"]
+    if isinstance(value, tuple) and value and value[0] in ENTRY_RANKS:
+        return ENTRY_RANKS[value[0]]
+    return ENTRY_RANKS["milp"]
 
 
 def entry_bounds(value: object) -> tuple[float | None, float | None]:
@@ -218,7 +221,7 @@ class AnalysisCache:
         if not self.enabled:
             return
         existing = self._entries.get(key)
-        if existing is not None and _entry_rank(value) < _entry_rank(existing):
+        if existing is not None and entry_rank(value) < entry_rank(existing):
             # A bound entry never overwrites an exact verdict —
             # the memory-tier twin of the store's rank-ordered upsert.
             return

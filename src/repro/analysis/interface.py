@@ -7,39 +7,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.milp.resilient import ResilienceConfig
+from repro.model.platform import RegulationConfig
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.types import Time
-
-
-@dataclass(frozen=True)
-class RegulationConfig:
-    """Per-core memory-bandwidth regulation (the ``regulated`` protocol).
-
-    A MemGuard-style regulator grants each core a memory budget of
-    ``budget`` time units of DMA-rate transfer per replenishment
-    ``period``; a memory phase that exhausts the budget stalls until the
-    next replenishment. Execution phases consume no budget. ``budget ==
-    period`` degenerates to unregulated memory (the ``nps_carry``
-    bound).
-
-    Attributes:
-        budget: Memory-transfer time granted per period (``Q``).
-        period: Replenishment period (``P``); budgets do not accumulate
-            across periods.
-    """
-
-    budget: float
-    period: float
-
-    def __post_init__(self) -> None:
-        if self.period <= 0.0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if not 0.0 < self.budget <= self.period:
-            raise ValueError(
-                f"budget must be in (0, period], got {self.budget} "
-                f"with period {self.period}"
-            )
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,8 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.interface import (
-    AnalysisOptions,
-    RegulationConfig,
-    TaskResult,
-    TaskSetResult,
-)
+from repro.analysis.interface import AnalysisOptions, TaskResult, TaskSetResult
+from repro.model.platform import RegulationConfig
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.types import Time

@@ -18,7 +18,8 @@ Design notes
   (``milp``-tagged, rank 3), a decided interval ``[lb, ub]`` around the
   optimum (``interval``-tagged, rank 2: what a threshold decision
   proved, see :meth:`repro.milp.model.MilpBackend.decide`), or an
-  LP-relaxation screening bound (``lp``-tagged, rank 1). An upsert only
+  LP-relaxation screening bound (``lp``-tagged, rank 1; the one rank
+  table is :data:`repro.analysis.cache.ENTRY_RANKS`). An upsert only
   replaces a row when the new rank is strictly higher — an exact
   optimum upgrades a bound, never the other way around — so the store
   converges to the same content regardless of writer interleaving.
@@ -46,17 +47,12 @@ import time
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.analysis.cache import ENTRY_RANKS, entry_rank
 from repro.faults import injection
 
 #: Bump when the payload encoding, digest inputs, or table layout
 #: change; mismatching stores are discarded on open (see module notes).
 SCHEMA_VERSION = 2
-
-#: Rank of each entry tag; upserts replace a row only with a strictly
-#: higher rank (exact optima upgrade decided intervals, which upgrade
-#: screening bounds, never vice versa), which makes concurrent writes
-#: order-independent.
-ENTRY_RANKS = {"lp": 1, "interval": 2, "milp": 3}
 
 
 def _encode(value: object) -> str:
@@ -81,13 +77,6 @@ def _decode(text: str) -> object:
     if raw["k"] == "t":
         return tuple(raw["v"])
     return raw["v"]
-
-
-def entry_rank(value: object) -> int:
-    """Upsert rank of an entry (see :data:`ENTRY_RANKS`)."""
-    if isinstance(value, tuple) and value and value[0] in ENTRY_RANKS:
-        return ENTRY_RANKS[value[0]]
-    return ENTRY_RANKS["milp"]  # bare floats are exact solved values
 
 
 def _sha(text: str) -> str:

@@ -40,35 +40,10 @@ cross-validation asserts observed <= bound on the experiment matrix.
 from __future__ import annotations
 
 from repro.analysis.interface import AnalysisOptions, TaskResult, TaskSetResult
-from repro.errors import AnalysisError
+from repro.model.priorities import resolve_thresholds
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.types import Time
-
-
-def resolve_thresholds(
-    taskset: TaskSet,
-    pairs: tuple[tuple[str, int], ...] | None,
-) -> dict[str, int]:
-    """Per-task preemption thresholds, validated against the task set.
-
-    ``pairs`` is the ``AnalysisOptions.preemption_thresholds`` tuple;
-    tasks it does not name default to their own priority (preemptible
-    at every boundary by any higher-priority task). A threshold must
-    outrank-or-equal its task's priority (``theta <= pi``): anything
-    else would let a job be preempted by lower-priority work.
-    """
-    thresholds = {t.name: t.priority for t in taskset}
-    for name, theta in pairs or ():
-        task = taskset.by_name(name)  # raises on unknown names
-        if theta > task.priority:
-            raise AnalysisError(
-                f"preemption threshold {theta} of {name!r} is below its "
-                f"priority {task.priority}; thresholds may only raise "
-                "effective priority (theta <= priority)"
-            )
-        thresholds[name] = theta
-    return thresholds
 
 
 def max_phase(task: Task) -> Time:

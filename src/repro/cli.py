@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.interface import AnalysisOptions, RegulationConfig
+from repro.analysis.interface import AnalysisOptions
 from repro.analysis.registry import simulable_protocols, simulator_class
 from repro.analysis.schedulability import PROTOCOLS, analyze_taskset
 from repro.errors import ObservabilityError, ReproError
@@ -50,6 +50,7 @@ from repro.experiments.report import (
     sweep_to_csv,
 )
 from repro.experiments.runner import FailurePolicy, run_experiment
+from repro.model.platform import RegulationConfig
 from repro.model.taskset import TaskSet
 from repro.sim.gantt import render_gantt, summarize_responses
 from repro.sim.releases import sporadic_plan, synchronous_plan

@@ -1,21 +1,23 @@
-"""Project invariant linter (flow- and call-graph-aware AST rules).
+"""Project invariant linter (AST rules over the whole package).
 
 Generic linters cannot know that this repo's analysis cache must digest
 *every* semantic input of the MILP formulation, that code reachable
-from the process-pool work units must be deterministic, or that every
-``os.replace`` needs an fsync proof. These rules encode exactly those
-invariants; they run as ``repro lint``, as ``python
+from the sweep work units must be deterministic, or that only one
+function may rename over a published file. These rules encode exactly
+those invariants; they run as ``repro lint``, as ``python
 tools/lint_rules.py``, and in CI alongside ruff and mypy.
 
 The engine (:mod:`repro.lint.engine`) parses the whole package once
-and hands every rule the full module mapping; the flow-aware rules
-share a :class:`~repro.lint.dataflow.ProjectModel` symbol table, an
-intraprocedural CFG with reaching-definitions and must-precede-call
-analyses (:mod:`repro.lint.dataflow`), and interprocedural literal
-resolution through the call graph (:mod:`repro.lint.callgraph`).
-Findings carry a severity (warnings fail only ``--strict``) and a
-stable fingerprint for baseline suppression; ``repro lint`` can emit
-SARIF for CI annotation.
+and hands every rule the full module mapping; the project rules share
+a :class:`~repro.lint.dataflow.ProjectModel` symbol table and
+interprocedural literal resolution through the call graph
+(:mod:`repro.lint.callgraph`). Where an invariant can hold by
+construction (one owner function, one rank table, one wire format
+across the process boundary) the rule checks that construction
+syntactically and an ordinary test pins the behaviour. Findings carry
+a severity (warnings fail only ``--strict``) and a stable fingerprint
+for baseline suppression; ``repro lint`` can emit SARIF for CI
+annotation.
 
 Rules
 -----
@@ -31,7 +33,7 @@ Rules
     from aliasing across solver configurations or store formats.
 ``worker-determinism``
     No unseeded randomness or wall-clock-dependent values in code
-    statically reachable from the process-pool work units. See
+    statically reachable from the sweep work units. See
     :mod:`repro.lint.determinism`.
 ``float-time-equality``
     No ``==``/``!=`` between time-valued floats (windows, WCRTs,
@@ -47,21 +49,22 @@ Rules
     ``COUNTER_NAMES`` and the sweep report. See
     :mod:`repro.lint.trace_contract`.
 ``fork-safety``
-    Nothing pickled across a process boundary (pool ``submit``
-    arguments, ``multiprocessing.Process`` targets) holds a database
-    connection, open file handle, or unseeded RNG; the
-    module-level scope stacks are only mutated inside
-    ``@contextmanager`` functions. See :mod:`repro.lint.fork_safety`.
+    No ``ProcessPoolExecutor``; every ``multiprocessing.Process``
+    target is a module-level function taking only scalar parameters,
+    so work crosses the boundary as wire frames; the module-level
+    scope stacks are only mutated inside ``@contextmanager``
+    functions. See :mod:`repro.lint.fork_safety`.
 ``durable-write``
-    Dataflow proof that every ``os.replace`` is preceded on all paths
-    by an fsync of the source file and followed by a directory sync.
+    ``os.replace``/``os.rename`` appear only inside
+    ``repro.experiments.persistence._durable_replace``, whose
+    fsync → rename → directory-fsync order a behavioural test pins.
     See :mod:`repro.lint.durable_write`.
 ``screen-soundness``
-    Every producer of bound entries (``("lp", ub)`` screens,
-    ``("interval", lb, ub)`` decisions) carries the ``@bound_producer``
-    tag, both rank tables order ``lp < interval < milp``, and the store
-    keeps its rank-ordered upsert guard. See
-    :mod:`repro.lint.screen_soundness`.
+    Every bound-entry tuple (``("lp", ub)`` screens,
+    ``("interval", lb, ub)`` decisions) is built inside a
+    ``@bound_producer``-tagged function, the one rank table orders
+    ``lp < interval < milp``, and the store keeps its rank-ordered
+    upsert guard. See :mod:`repro.lint.screen_soundness`.
 """
 
 from repro.lint.engine import (

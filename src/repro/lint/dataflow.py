@@ -1,35 +1,22 @@
-"""Flow-aware analysis core: symbol table, CFG, dataflow facts.
+"""Project symbol table shared by the call-graph-aware lint rules.
 
-The PR 3 linter correlates whole trees; the rules added on top of this
-module reason about *paths*: whether an ``os.fsync`` executes on every
-path before an ``os.replace``, which assignments can reach the value
-handed to ``cache.put``, which classes a process-pool submission can
-drag across the pickle boundary. Three layers provide that:
+:class:`ProjectModel` indexes one parsed module set: every function
+and method under a stable qualified name, every class, and every call
+expression paired with the function that contains it. It is built
+once per module mapping (:func:`project_model`) and shared by
+``trace-contract`` (through :mod:`repro.lint.callgraph`, which
+resolves literal arguments across call sites) and ``fork-safety``.
 
-* :class:`ProjectModel` — a symbol table over the parsed module set:
-  every function/method with a stable qualified name, every class,
-  every call site paired with its enclosing function. Built once per
-  module mapping and shared by all flow-aware rules.
-* :func:`build_cfg` — an intraprocedural control-flow graph over a
-  function body. Compound statements contribute only their *header*
-  expressions to a block (bodies get their own blocks), ``try``
-  handlers are entered conservatively with the state at try entry,
-  and loop bodies may execute zero times.
-* :class:`FunctionFlow` — the two dataflow analyses the rules need:
-  **reaching definitions** (which assignments/with-bindings can define
-  a name at a statement; a forward may-analysis) and **must-precede
-  calls** (which call expressions have executed on *every* path before
-  a statement; a forward must-analysis).
-
-Everything here is deliberately intraprocedural; interprocedural
-questions (literal argument values, forwarded ``**kwargs``) live in
-:mod:`repro.lint.callgraph`.
+No rule needs control-flow or dataflow facts: the invariants that once
+needed them (fsync order around ``os.replace``, bound entries reaching
+``cache.put``, state pickled into pool workers) are now held by
+construction and checked syntactically (see :mod:`repro.lint`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.lint.engine import SourceModule
@@ -53,6 +40,35 @@ def call_name(call: ast.Call) -> str | None:
 
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
+
+
+def decorated_with(fn: FunctionNode, name: str) -> bool:
+    """Whether any decorator of ``fn`` is ``name`` or ``*.name``."""
+    for deco in fn.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == name:
+            return True
+        if isinstance(target, ast.Attribute) and target.attr == name:
+            return True
+    return False
+
+
+def walk_scoped(
+    tree: ast.AST, scopes: tuple[FunctionNode, ...] = ()
+) -> Iterator[tuple[ast.AST, tuple[FunctionNode, ...]]]:
+    """Every node under ``tree`` with the functions whose body holds it.
+
+    ``scopes`` lists the enclosing function definitions, outermost
+    first. A function's decorators, defaults and annotations belong to
+    the scope that defines it, not to the function itself.
+    """
+    yield tree, scopes
+    for child in ast.iter_child_nodes(tree):
+        inner = scopes
+        if isinstance(tree, _FUNCTION_NODES) and child in tree.body:
+            inner = scopes + (tree,)
+        yield from walk_scoped(child, inner)
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,7 @@ class FunctionInfo:
     name: str
     module: str
     path: str
-    node: ast.FunctionDef | ast.AsyncFunctionDef
+    node: FunctionNode
     cls: str | None  #: enclosing class name, ``None`` for plain functions
 
     @property
@@ -82,13 +98,7 @@ class FunctionInfo:
 
     def decorated_with(self, name: str) -> bool:
         """Whether any decorator is ``name`` or ``*.name``."""
-        for deco in self.node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            if isinstance(target, ast.Name) and target.id == name:
-                return True
-            if isinstance(target, ast.Attribute) and target.attr == name:
-                return True
-        return False
+        return decorated_with(self.node, name)
 
 
 @dataclass(frozen=True)
@@ -226,7 +236,7 @@ def project_model(modules: Mapping[str, SourceModule]) -> ProjectModel:
     """Build (or reuse) the :class:`ProjectModel` for a module set.
 
     ``run_lint`` hands every rule the same mapping object; caching on
-    identity lets each flow-aware rule share one symbol table.
+    identity lets each call-graph-aware rule share one symbol table.
     """
     for cached_modules, model in _MODEL_CACHE:
         if cached_modules is modules:
@@ -237,156 +247,11 @@ def project_model(modules: Mapping[str, SourceModule]) -> ProjectModel:
     return model
 
 
-# ----------------------------------------------------------------------
-# control-flow graph
-# ----------------------------------------------------------------------
-@dataclass
-class Block:
-    """One basic block: straight-line statements plus successor ids."""
-
-    statements: list[ast.stmt] = field(default_factory=list)
-    successors: list[int] = field(default_factory=list)
-
-
-_EXIT = -1  #: virtual exit block id used during construction
-
-
-class _CfgBuilder:
-    def __init__(self) -> None:
-        self.blocks: list[Block] = [Block()]
-        self.current = 0
-        #: (continue-target, break-target) per enclosing loop
-        self.loops: list[tuple[int, int]] = []
-
-    def new_block(self) -> int:
-        self.blocks.append(Block())
-        return len(self.blocks) - 1
-
-    def edge(self, src: int, dst: int) -> None:
-        if dst not in self.blocks[src].successors:
-            self.blocks[src].successors.append(dst)
-
-    def build(self, statements: list[ast.stmt]) -> None:
-        for stmt in statements:
-            if self.current == _EXIT:
-                return  # unreachable code after return/raise/break
-            self.statement(stmt)
-
-    def statement(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.If):
-            self.blocks[self.current].statements.append(stmt)
-            before = self.current
-            join = self.new_block()
-            for branch in (stmt.body, stmt.orelse):
-                if not branch:
-                    self.edge(before, join)
-                    continue
-                entry = self.new_block()
-                self.edge(before, entry)
-                self.current = entry
-                self.build(branch)
-                if self.current != _EXIT:
-                    self.edge(self.current, join)
-            self.current = join
-        elif isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            self.blocks[self.current].statements.append(stmt)
-            header = self.new_block()
-            self.edge(self.current, header)
-            join = self.new_block()  # first block after the whole loop
-            body = self.new_block()
-            self.edge(header, body)
-            self.loops.append((header, join))  # break skips any orelse
-            self.current = body
-            self.build(stmt.body)
-            if self.current != _EXIT:
-                self.edge(self.current, header)
-            self.loops.pop()
-            if stmt.orelse:
-                orelse_entry = self.new_block()
-                self.edge(header, orelse_entry)  # normal (non-break) exit
-                self.current = orelse_entry
-                self.build(stmt.orelse)
-                if self.current != _EXIT:
-                    self.edge(self.current, join)
-            else:
-                self.edge(header, join)  # zero iterations / normal exit
-            self.current = join
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            # ``with`` neither branches nor (here) swallows exceptions:
-            # the item expressions run, then the body, in line.
-            self.blocks[self.current].statements.append(stmt)
-            self.build(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.blocks[self.current].statements.append(stmt)
-            before = self.current
-            join = self.new_block()
-            body_entry = self.new_block()
-            self.edge(before, body_entry)
-            self.current = body_entry
-            self.build(stmt.body)
-            body_exit = self.current
-            if stmt.orelse and body_exit != _EXIT:
-                self.build(stmt.orelse)
-                body_exit = self.current
-            # Handlers are entered with the facts of try *entry*: an
-            # exception may fire before any body statement completes.
-            handler_exits: list[int] = []
-            for handler in stmt.handlers:
-                entry = self.new_block()
-                self.edge(before, entry)
-                self.current = entry
-                self.build(handler.body)
-                handler_exits.append(self.current)
-            if stmt.finalbody:
-                final = self.new_block()
-                if body_exit != _EXIT:
-                    self.edge(body_exit, final)
-                for exit_id in handler_exits:
-                    if exit_id != _EXIT:
-                        self.edge(exit_id, final)
-                self.current = final
-                self.build(stmt.finalbody)
-                if self.current != _EXIT:
-                    self.edge(self.current, join)
-            else:
-                if body_exit != _EXIT:
-                    self.edge(body_exit, join)
-                for exit_id in handler_exits:
-                    if exit_id != _EXIT:
-                        self.edge(exit_id, join)
-            self.current = join
-        elif isinstance(stmt, (ast.Return, ast.Raise)):
-            self.blocks[self.current].statements.append(stmt)
-            self.current = _EXIT
-        elif isinstance(stmt, ast.Break):
-            if self.loops:
-                self.edge(self.current, self.loops[-1][1])
-            self.current = _EXIT
-        elif isinstance(stmt, ast.Continue):
-            if self.loops:
-                self.edge(self.current, self.loops[-1][0])
-            self.current = _EXIT
-        elif isinstance(stmt, _FUNCTION_NODES + (ast.ClassDef,)):
-            # Nested definitions are opaque statements here; their
-            # bodies are analysed as their own functions.
-            self.blocks[self.current].statements.append(stmt)
-        else:
-            self.blocks[self.current].statements.append(stmt)
-
-
-def build_cfg(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[Block]:
-    """Basic blocks of a function body (block 0 is the entry)."""
-    builder = _CfgBuilder()
-    builder.build(fn.body)
-    return builder.blocks
-
-
 def _shallow_expressions(stmt: ast.stmt) -> Iterator[ast.expr]:
     """Expressions a statement evaluates *itself* (not nested bodies).
 
-    For compound statements only the header runs when the block
-    executes the statement — ``if c:`` evaluates ``c``, the branches
-    are separate blocks — so facts must come from the header alone.
+    For compound statements only the header belongs to the statement:
+    ``if c:`` evaluates ``c``; its branches are visited on their own.
     """
     if isinstance(stmt, ast.If):
         yield stmt.test
@@ -405,250 +270,3 @@ def _shallow_expressions(stmt: ast.stmt) -> Iterator[ast.expr]:
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.expr):
                 yield child
-
-
-def shallow_calls(stmt: ast.stmt) -> list[ast.Call]:
-    """Call expressions a statement itself evaluates."""
-    calls: list[ast.Call] = []
-    for expr in _shallow_expressions(stmt):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                calls.append(node)
-    return calls
-
-
-def _shallow_definitions(stmt: ast.stmt) -> list[tuple[str, ast.AST]]:
-    """(name, value-node) pairs a statement itself binds."""
-    defs: list[tuple[str, ast.AST]] = []
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            for name in _target_names(target):
-                defs.append((name, stmt.value))
-    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-        for name in _target_names(stmt.target):
-            defs.append((name, stmt.value))
-    elif isinstance(stmt, ast.AugAssign):
-        for name in _target_names(stmt.target):
-            defs.append((name, stmt))
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        for name in _target_names(stmt.target):
-            defs.append((name, stmt.iter))
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        for item in stmt.items:
-            if item.optional_vars is not None:
-                for name in _target_names(item.optional_vars):
-                    defs.append((name, item.context_expr))
-    return defs
-
-
-def _target_names(target: ast.expr) -> list[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: list[str] = []
-        for element in target.elts:
-            names.extend(_target_names(element))
-        return names
-    if isinstance(target, ast.Starred):
-        return _target_names(target.value)
-    return []
-
-
-class FunctionFlow:
-    """Reaching definitions + must-precede calls of one function."""
-
-    def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self.fn = fn
-        self.cfg = build_cfg(fn)
-        #: id(expression-node) -> enclosing top-level statement
-        self._stmt_of: dict[int, ast.stmt] = {}
-        for block in self.cfg:
-            for stmt in block.statements:
-                for expr in _shallow_expressions(stmt):
-                    for node in ast.walk(expr):
-                        self._stmt_of[id(node)] = stmt
-        self._must = self._compute_must()
-        self._reach = self._compute_reaching()
-
-    # -- queries -------------------------------------------------------
-    def statement_of(self, node: ast.AST) -> ast.stmt | None:
-        """Top-level statement whose header evaluates ``node``."""
-        return self._stmt_of.get(id(node))
-
-    def must_precede_calls(self, stmt: ast.stmt) -> list[ast.Call]:
-        """Calls executed on *every* path before ``stmt`` runs.
-
-        Facts are keyed by the call's syntactic form, so the same
-        call written in both branches of an ``if`` still counts as
-        executing on every path; all nodes sharing a surviving form
-        are returned.
-        """
-        facts = self._must.get(id(stmt))
-        if facts is None:
-            return []
-        calls: list[ast.Call] = []
-        for key in facts:
-            calls.extend(self._calls_by_key[key])
-        return calls
-
-    def reaching(self, stmt: ast.stmt, name: str) -> list[ast.AST]:
-        """Value nodes whose binding of ``name`` can reach ``stmt``."""
-        table = self._reach.get(id(stmt), {})
-        return [self._def_by_id[i] for i in table.get(name, frozenset())]
-
-    def calls_after(self, stmt: ast.stmt) -> list[ast.Call]:
-        """Calls in statements lexically after ``stmt`` in this body.
-
-        A deliberate approximation of "on the success path": used for
-        follow-up obligations (directory fsync after a rename) where
-        the preceding statement already proved the happy path.
-        """
-        calls: list[ast.Call] = []
-        for block in self.cfg:
-            for other in block.statements:
-                if other.lineno > stmt.lineno:
-                    calls.extend(shallow_calls(other))
-        return calls
-
-    # -- analyses ------------------------------------------------------
-    def _compute_must(self) -> dict[int, frozenset[str]]:
-        self._calls_by_key: dict[str, list[ast.Call]] = {}
-        gen: list[list[frozenset[str]]] = []
-        universe: set[str] = set()
-        for block in self.cfg:
-            row: list[frozenset[str]] = []
-            for stmt in block.statements:
-                keys: set[str] = set()
-                for call in shallow_calls(stmt):
-                    key = ast.dump(call)
-                    keys.add(key)
-                    self._calls_by_key.setdefault(key, []).append(call)
-                facts = frozenset(keys)
-                universe.update(facts)
-                row.append(facts)
-            gen.append(row)
-
-        preds: list[list[int]] = [[] for _ in self.cfg]
-        for index, block in enumerate(self.cfg):
-            for succ in block.successors:
-                preds[succ].append(index)
-
-        full = frozenset(universe)
-        out: list[frozenset[str]] = [full] * len(self.cfg)
-        out[0] = self._block_out(0, frozenset(), gen)
-        changed = True
-        while changed:
-            changed = False
-            for index in range(len(self.cfg)):
-                if index == 0:
-                    inset: frozenset[str] = frozenset()
-                elif preds[index]:
-                    inset = frozenset.intersection(
-                        *(out[p] for p in preds[index])
-                    )
-                else:
-                    inset = full  # unreachable: keep vacuous truth
-                new_out = self._block_out(index, inset, gen)
-                if new_out != out[index]:
-                    out[index] = new_out
-                    changed = True
-
-        result: dict[int, frozenset[str]] = {}
-        for index, block in enumerate(self.cfg):
-            if index == 0:
-                acc: frozenset[str] = frozenset()
-            elif preds[index]:
-                acc = frozenset.intersection(*(out[p] for p in preds[index]))
-            else:
-                acc = frozenset()
-            for position, stmt in enumerate(block.statements):
-                result[id(stmt)] = acc
-                acc = acc | gen[index][position]
-        return result
-
-    @staticmethod
-    def _block_out(
-        index: int,
-        inset: frozenset[str],
-        gen: list[list[frozenset[str]]],
-    ) -> frozenset[str]:
-        acc = inset
-        for facts in gen[index]:
-            acc = acc | facts
-        return acc
-
-    def _compute_reaching(self) -> dict[int, dict[str, frozenset[int]]]:
-        self._def_by_id: dict[int, ast.AST] = {}
-        gen: list[list[list[tuple[str, int]]]] = []
-        for block in self.cfg:
-            row: list[list[tuple[str, int]]] = []
-            for stmt in block.statements:
-                pairs: list[tuple[str, int]] = []
-                for name, value in _shallow_definitions(stmt):
-                    self._def_by_id[id(value)] = value
-                    pairs.append((name, id(value)))
-                row.append(pairs)
-            gen.append(row)
-
-        params: dict[str, frozenset[int]] = {}
-        args = self.fn.args
-        for arg in (
-            args.posonlyargs + args.args + args.kwonlyargs
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            self._def_by_id[id(arg)] = arg
-            params[arg.arg] = frozenset({id(arg)})
-
-        def merge(
-            a: dict[str, frozenset[int]], b: dict[str, frozenset[int]]
-        ) -> dict[str, frozenset[int]]:
-            result = dict(a)
-            for name, ids in b.items():
-                result[name] = result.get(name, frozenset()) | ids
-            return result
-
-        def through(
-            index: int, inset: dict[str, frozenset[int]]
-        ) -> dict[str, frozenset[int]]:
-            acc = dict(inset)
-            for pairs in gen[index]:
-                for name, def_id in pairs:
-                    acc[name] = frozenset({def_id})
-            return acc
-
-        preds: list[list[int]] = [[] for _ in self.cfg]
-        for index, block in enumerate(self.cfg):
-            for succ in block.successors:
-                preds[succ].append(index)
-
-        out: list[dict[str, frozenset[int]]] = [{} for _ in self.cfg]
-        out[0] = through(0, params)
-        changed = True
-        while changed:
-            changed = False
-            for index in range(len(self.cfg)):
-                if index == 0:
-                    inset = dict(params)
-                else:
-                    inset = {}
-                    for pred in preds[index]:
-                        inset = merge(inset, out[pred])
-                new_out = through(index, inset)
-                if new_out != out[index]:
-                    out[index] = new_out
-                    changed = True
-
-        result: dict[int, dict[str, frozenset[int]]] = {}
-        for index, block in enumerate(self.cfg):
-            if index == 0:
-                acc = dict(params)
-            else:
-                acc = {}
-                for pred in preds[index]:
-                    acc = merge(acc, out[pred])
-            for position, stmt in enumerate(block.statements):
-                result[id(stmt)] = dict(acc)
-                for name, def_id in gen[index][position]:
-                    acc[name] = frozenset({def_id})
-        return result

@@ -1,10 +1,12 @@
-"""Worker-determinism rule: no nondeterminism in process-pool work.
+"""Worker-determinism rule: no nondeterminism in sweep work units.
 
-The parallel sweep engine promises bit-identical results between
-``--jobs 1`` and ``--jobs N``; that promise dies the moment anything a
-worker computes reads the wall clock or an unseeded RNG. This rule
-walks the static import graph from the process-pool work-unit modules
-(:data:`WORKER_ROOTS`) and flags, in every reachable module:
+A sweep promises bit-identical results between ``--jobs 1`` and
+``--jobs N``, where ``--jobs N`` evaluates units in the socket workers
+of a local sweep service (:mod:`repro.service.worker`); that promise
+dies the moment anything a unit computes reads the wall clock or an
+unseeded RNG. This rule walks the static import graph from the modules
+that evaluate work units (:data:`WORKER_ROOTS`) and flags, in every
+reachable module:
 
 * any import of the stdlib ``random`` module (its global state is
   per-process and unseeded — use a seeded ``numpy`` Generator);
@@ -28,9 +30,10 @@ from typing import Mapping
 from repro.lint.dataflow import dotted
 from repro.lint.engine import LintViolation, SourceModule
 
-#: Modules holding the process-pool work units; everything they can
-#: statically reach must stay deterministic.
-WORKER_ROOTS = ("repro.experiments.runner",)
+#: The work-unit evaluation (called by the sequential run) and the
+#: sweep-service worker that runs it for ``--jobs N``; everything they
+#: can statically reach must stay deterministic.
+WORKER_ROOTS = ("repro.experiments.runner", "repro.service.worker")
 
 #: Dotted-call suffixes (last two components) that read wall clock or
 #: entropy. ``time.perf_counter``/``monotonic`` are deliberately absent.

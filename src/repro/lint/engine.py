@@ -3,8 +3,8 @@
 The engine parses every module under ``src/repro`` once into a
 ``{dotted-name: SourceModule}`` mapping and hands the whole mapping to
 each rule. Per-module rules scan each tree independently; project
-rules (cache-key completeness, worker determinism, the flow-aware
-families from :mod:`repro.lint.dataflow`) correlate several modules —
+rules (cache-key completeness, worker determinism, the call-graph
+rules built on :mod:`repro.lint.dataflow`) correlate several modules —
 which is exactly what off-the-shelf linters cannot do. Rules take the
 mapping rather than the filesystem so tests can lint tampered sources
 (e.g. a digest with a field deliberately removed).

@@ -22,6 +22,10 @@ Definitive outcomes (``OPTIMAL``, ``INFEASIBLE``, ``UNBOUNDED``, or a
 ``TIME_LIMIT`` with an incumbent/dual bound) are never retried: they
 are answers, not faults.
 
+Threshold decisions (:meth:`ResilientBackend.decide`) go to the
+primary's own decision procedure as one guarded attempt; when that
+attempt fails they fall back to the full chain above plus a comparison.
+
 The closed-form rung needs task-set context a backend does not have,
 so it is injected as a callable by the analysis layer (keeping
 ``milp`` free of ``analysis`` imports, per the layering rules).
@@ -36,18 +40,20 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from repro.errors import BackendUnavailableError, SolverTimeoutError
 from repro.faults import injection as faults
 from repro.milp.highs import HighsBackend
-from repro.milp.model import MilpBackend, MilpModel
+from repro.milp.model import MilpBackend, MilpDecision, MilpModel
 from repro.milp.relaxation import LpRelaxationBackend
 from repro.milp.solution import DegradationLevel, MilpSolution, SolveStatus
 from repro.obs import events as obs
 
 #: A fallback rung: the level it reports plus the backend that runs it.
 FallbackStep = tuple[DegradationLevel, MilpBackend]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -241,12 +247,19 @@ class ResilientBackend(MilpBackend):
             return "nonfinite_objective"
         return None
 
-    def _guarded(self, backend: MilpBackend, model: MilpModel) -> MilpSolution:
-        """One solve attempt under the wall-clock watchdog.
+    def _guarded(
+        self,
+        backend: MilpBackend,
+        model: MilpModel,
+        work: Callable[[], _T] | None = None,
+    ) -> _T | MilpSolution:
+        """One attempt under the fault site and the wall-clock watchdog.
 
-        The solve runs in a worker thread (SciPy releases the GIL
-        inside HiGHS); on expiry the thread is abandoned — it cannot be
-        killed — and the attempt is reported as a timeout.
+        ``work`` defaults to ``backend.solve(model)``. It runs in a
+        worker thread (SciPy releases the GIL inside HiGHS); on expiry
+        the thread is abandoned — it cannot be killed — and the attempt
+        is reported as a timeout. An injected ``garbage`` fault returns
+        an unusable solution in place of the work's result.
         """
         spec = faults.fire("solver.fault", backend=backend.name)
         if spec is not None:
@@ -263,11 +276,14 @@ class ResilientBackend(MilpBackend):
                 objective=float("nan"),
                 backend="injected-garbage",
             )
+        call: Callable[[], _T | MilpSolution] = (
+            work if work is not None else lambda: backend.solve(model)
+        )
         if self.watchdog_seconds is None:
-            return backend.solve(model)
+            return call()
         executor = ThreadPoolExecutor(max_workers=1)
         try:
-            future = executor.submit(backend.solve, model)
+            future = executor.submit(call)
             try:
                 return future.result(timeout=self.watchdog_seconds)
             except _FutureTimeout:
@@ -299,6 +315,34 @@ class ResilientBackend(MilpBackend):
                 "backoff_schedule": tuple(backoffs),
             },
         )
+
+    def decide(self, model: MilpModel, threshold: float) -> MilpDecision:
+        """Ask the primary's own decision procedure, under the guard.
+
+        The decision is one guarded attempt (the ``solver.fault`` site
+        fires once for it). A transient failure, or a decision resting
+        on an unusable solve, falls back to the full retry and
+        degradation chain of :meth:`solve` plus a comparison.
+        """
+        try:
+            decision = self._guarded(
+                self.primary, model,
+                lambda: self.primary.decide(model, threshold),
+            )
+        except (SolverTimeoutError, BackendUnavailableError) as exc:
+            obs.emit(
+                "resilience.retry",
+                model=model.name,
+                attempt=0,
+                error=type(exc).__name__,
+            )
+        else:
+            if isinstance(decision, MilpDecision) and (
+                decision.solution is None
+                or self._unusable(decision.solution) is None
+            ):
+                return decision
+        return MilpDecision.from_solution(threshold, self.solve(model))
 
     def solve(self, model: MilpModel) -> MilpSolution:
         history: list[str] = []

@@ -33,6 +33,31 @@ from repro.model.taskset import TaskSet
 SchedulabilityOracle = Callable[[TaskSet, Task], bool]
 
 
+def resolve_thresholds(
+    taskset: TaskSet,
+    pairs: tuple[tuple[str, int], ...] | None,
+) -> dict[str, int]:
+    """Per-task preemption thresholds, validated against the task set.
+
+    ``pairs`` is the ``AnalysisOptions.preemption_thresholds`` tuple;
+    tasks it does not name default to their own priority (preemptible
+    at every boundary by any higher-priority task). A threshold must
+    outrank-or-equal its task's priority (``theta <= pi``): anything
+    else would let a job be preempted by lower-priority work.
+    """
+    thresholds = {t.name: t.priority for t in taskset}
+    for name, theta in pairs or ():
+        task = taskset.by_name(name)  # raises on unknown names
+        if theta > task.priority:
+            raise AnalysisError(
+                f"preemption threshold {theta} of {name!r} is below its "
+                f"priority {task.priority}; thresholds may only raise "
+                "effective priority (theta <= priority)"
+            )
+        thresholds[name] = theta
+    return thresholds
+
+
 def _reassign(tasks: Sequence[Task]) -> TaskSet:
     """Give tasks consecutive priorities in their current order."""
     return TaskSet(

@@ -36,7 +36,7 @@ import socket
 from contextlib import nullcontext
 from typing import Any
 
-from repro.analysis.interface import AnalysisOptions, RegulationConfig
+from repro.analysis.interface import AnalysisOptions
 from repro.errors import ReproError
 from repro.experiments.persistence import _config_from_dict
 from repro.experiments.runner import _worker_evaluate
@@ -45,6 +45,7 @@ from repro.faults import injection as faults
 from repro.faults.plan import FaultPlan
 from repro.milp.resilient import ResilienceConfig
 from repro.milp.solution import DegradationLevel
+from repro.model.platform import RegulationConfig
 from repro.service.wire import recv_message, send_message
 
 

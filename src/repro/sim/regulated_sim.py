@@ -17,7 +17,7 @@ import heapq
 import itertools
 import math
 
-from repro.analysis.interface import RegulationConfig
+from repro.model.platform import RegulationConfig
 from repro.errors import SimulationError
 from repro.model.taskset import TaskSet
 from repro.sim.releases import ReleasePlan

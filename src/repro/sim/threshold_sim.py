@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from repro.analysis.threshold import resolve_thresholds
+from repro.model.priorities import resolve_thresholds
 from repro.errors import SimulationError
 from repro.model.taskset import TaskSet
 from repro.sim.releases import ReleasePlan

@@ -1,9 +1,14 @@
-"""Fixture for the durable-write rule: broken and compliant shapes."""
+"""True-positive fixture for the durable-write rule.
+
+Both functions rename over a published file outside
+``repro.experiments.persistence._durable_replace``: one never fsyncs,
+one fsyncs on a single branch only. Each rename must be flagged.
+"""
 import os
 
 
 def unsafe_publish(path: str, text: str) -> None:
-    """No fsync at all: both obligations must be flagged."""
+    """No fsync at all."""
     tmp = path + ".tmp"
     with open(tmp, "w") as handle:
         handle.write(text)
@@ -11,21 +16,11 @@ def unsafe_publish(path: str, text: str) -> None:
 
 
 def branchy_publish(path: str, text: str, quick: bool) -> None:
-    """fsync on only one path: the must-analysis has to catch it."""
+    """fsync on only one path: restating the protocol invites this."""
     tmp = path + ".tmp"
     with open(tmp, "w") as handle:
         handle.write(text)
         if not quick:
             os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    os.fsync(os.open(path, os.O_RDONLY))
-
-
-def safe_publish(path: str, text: str) -> None:
-    """The full protocol: must pass with no findings."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        os.fsync(handle.fileno())
     os.replace(tmp, path)
     os.fsync(os.open(path, os.O_RDONLY))

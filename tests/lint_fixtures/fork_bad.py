@@ -1,8 +1,10 @@
 """True-positive fixture for the fork-safety rule.
 
-``LeakyHolder`` smuggles a database connection across the
-process-pool boundary through ``work``'s annotation; ``push_scope``
-mutates a module-level scope stack outside any context manager.
+``run`` ships a ``LeakyHolder`` (which holds a database connection)
+through a process pool; ``spawn`` hands a ``SpawnLeaky`` (an open file
+handle) to a ``Process`` target and also spawns a lambda;
+``push_scope`` mutates a module-level scope stack outside any context
+manager.
 """
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
@@ -15,23 +17,13 @@ class LeakyHolder:
         self.conn = sqlite3.connect(path)
 
 
-class CuratedHolder:
-    """Holds a handle but curates its pickled state — must NOT flag."""
-
-    def __init__(self, path: str) -> None:
-        self.handle = open(path)
-
-    def __getstate__(self) -> dict:
-        return {}
-
-
-def work(holder: "LeakyHolder", curated: CuratedHolder) -> int:
+def work(holder: "LeakyHolder") -> int:
     return 0
 
 
 def run() -> None:
     with ProcessPoolExecutor() as pool:
-        pool.submit(work, LeakyHolder("x.db"), CuratedHolder("y.txt"))
+        pool.submit(work, LeakyHolder("x.db"))
 
 
 def push_scope() -> None:

@@ -1,4 +1,4 @@
-"""Import layering: the documented "analysis never drags in sim" rule."""
+"""Import layering: analysis never drags in sim, and sim never drags in analysis."""
 
 import json
 import os
@@ -33,3 +33,10 @@ def test_importing_analysis_loads_no_simulator_module():
 def test_trace_profiler_loads_no_simulator_module():
     loaded = _modules_after_import("repro.obs.profile")
     assert [m for m in loaded if m.startswith("repro.sim")] == []
+
+
+def test_importing_sim_loads_no_analysis_module():
+    loaded = _modules_after_import("repro.sim")
+    assert "repro.sim.regulated_sim" in loaded
+    assert "repro.sim.threshold_sim" in loaded
+    assert [m for m in loaded if m.startswith("repro.analysis")] == []

@@ -1,4 +1,4 @@
-"""Tests for the flow-analysis core (repro.lint.dataflow / callgraph)."""
+"""Tests for the lint symbol table and call graph (dataflow / callgraph)."""
 
 import ast
 
@@ -8,12 +8,11 @@ from repro.lint.callgraph import (
     resolve_string_values,
 )
 from repro.lint.dataflow import (
-    FunctionFlow,
     ProjectModel,
-    build_cfg,
     call_name,
     dotted,
     project_model,
+    walk_scoped,
 )
 from repro.lint.engine import SourceModule
 
@@ -26,26 +25,6 @@ def _model(**sources):
     return ProjectModel({
         name: _module(name, src) for name, src in sources.items()
     })
-
-
-def _flow(source, name="f"):
-    tree = ast.parse(source)
-    fn = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == name
-    )
-    return FunctionFlow(fn)
-
-
-def _stmt_calling(flow, callee):
-    from repro.lint.dataflow import shallow_calls
-
-    for block in flow.cfg:
-        for stmt in block.statements:
-            for call in shallow_calls(stmt):
-                if call_name(call) == callee:
-                    return stmt
-    raise AssertionError(f"no statement calling {callee}")
 
 
 class TestDotted:
@@ -109,155 +88,31 @@ class TestProjectModel:
         assert project_model(modules) is project_model(modules)
 
 
-class TestCfg:
-    def test_linear_body_is_single_block(self):
-        blocks = build_cfg(ast.parse(
-            "def f():\n    a()\n    b()\n"
-        ).body[0])
-        assert len(blocks[0].statements) == 2
+class TestWalkScoped:
+    def _scopes_of(self, source, predicate):
+        tree = ast.parse(source)
+        return [
+            [fn.name for fn in scopes]
+            for node, scopes in walk_scoped(tree) if predicate(node)
+        ]
 
-    def test_if_branches_rejoin(self):
-        flow = _flow(
-            "def f(c):\n"
-            "    if c:\n"
-            "        left()\n"
-            "    else:\n"
-            "        right()\n"
-            "    after()\n"
+    def test_nested_bodies_carry_every_enclosing_function(self):
+        scopes = self._scopes_of(
+            "def outer():\n"
+            "    def inner():\n"
+            "        return ('lp', 1.0)\n",
+            lambda node: isinstance(node, ast.Tuple),
         )
-        after = _stmt_calling(flow, "after")
-        names = {call_name(c) for c in flow.must_precede_calls(after)}
-        # Neither branch executes on every path.
-        assert "left" not in names and "right" not in names
+        assert scopes == [["outer", "inner"]]
 
-    def test_loop_body_may_run_zero_times(self):
-        flow = _flow(
-            "def f(items):\n"
-            "    for item in items:\n"
-            "        inside(item)\n"
-            "    after()\n"
+    def test_decorators_and_defaults_belong_to_defining_scope(self):
+        scopes = self._scopes_of(
+            "@tag(('lp', 1.0))\n"
+            "def f(x=('interval', 0.0, 1.0)):\n"
+            "    pass\n",
+            lambda node: isinstance(node, ast.Tuple),
         )
-        after = _stmt_calling(flow, "after")
-        names = {call_name(c) for c in flow.must_precede_calls(after)}
-        assert "inside" not in names
-
-    def test_break_skips_orelse(self):
-        flow = _flow(
-            "def f(items):\n"
-            "    for item in items:\n"
-            "        if item:\n"
-            "            break\n"
-            "    else:\n"
-            "        only_without_break()\n"
-            "    after()\n"
-        )
-        after = _stmt_calling(flow, "after")
-        names = {call_name(c) for c in flow.must_precede_calls(after)}
-        # The break path never runs the orelse.
-        assert "only_without_break" not in names
-
-
-class TestMustPrecede:
-    def test_straight_line_call_precedes(self):
-        flow = _flow("def f():\n    first()\n    second()\n")
-        second = _stmt_calling(flow, "second")
-        names = {call_name(c) for c in flow.must_precede_calls(second)}
-        assert "first" in names
-
-    def test_call_in_both_branches_precedes(self):
-        flow = _flow(
-            "def f(c):\n"
-            "    if c:\n"
-            "        sync()\n"
-            "    else:\n"
-            "        sync()\n"
-            "    publish()\n"
-        )
-        publish = _stmt_calling(flow, "publish")
-        names = {call_name(c) for c in flow.must_precede_calls(publish)}
-        assert "sync" in names
-
-    def test_call_in_one_branch_does_not_precede(self):
-        flow = _flow(
-            "def f(c):\n"
-            "    if c:\n"
-            "        sync()\n"
-            "    publish()\n"
-        )
-        publish = _stmt_calling(flow, "publish")
-        names = {call_name(c) for c in flow.must_precede_calls(publish)}
-        assert "sync" not in names
-
-    def test_try_handler_entered_with_try_entry_facts(self):
-        flow = _flow(
-            "def f():\n"
-            "    before()\n"
-            "    try:\n"
-            "        risky()\n"
-            "    except OSError:\n"
-            "        handle()\n"
-            "    after()\n"
-        )
-        handle = _stmt_calling(flow, "handle")
-        names = {call_name(c) for c in flow.must_precede_calls(handle)}
-        # The exception may fire before risky() completed...
-        assert "risky" not in names
-        # ...but never before the statement preceding the try.
-        assert "before" in names
-
-    def test_with_body_inlined(self):
-        flow = _flow(
-            "def f(p):\n"
-            "    with open(p) as h:\n"
-            "        sync(h)\n"
-            "    publish()\n"
-        )
-        publish = _stmt_calling(flow, "publish")
-        names = {call_name(c) for c in flow.must_precede_calls(publish)}
-        assert {"open", "sync"} <= names
-
-
-class TestReachingDefinitions:
-    def test_reassignment_kills_previous_definition(self):
-        flow = _flow(
-            "def f():\n"
-            "    x = first()\n"
-            "    x = second()\n"
-            "    use(x)\n"
-        )
-        use = _stmt_calling(flow, "use")
-        defs = flow.reaching(use, "x")
-        assert [call_name(d) for d in defs] == ["second"]
-
-    def test_branches_merge_both_definitions(self):
-        flow = _flow(
-            "def f(c):\n"
-            "    if c:\n"
-            "        x = left()\n"
-            "    else:\n"
-            "        x = right()\n"
-            "    use(x)\n"
-        )
-        use = _stmt_calling(flow, "use")
-        names = sorted(call_name(d) for d in flow.reaching(use, "x"))
-        assert names == ["left", "right"]
-
-    def test_parameter_is_entry_definition(self):
-        flow = _flow("def f(x):\n    use(x)\n")
-        use = _stmt_calling(flow, "use")
-        defs = flow.reaching(use, "x")
-        assert len(defs) == 1
-        assert isinstance(defs[0], ast.arg)
-
-    def test_with_binding_defines_target(self):
-        flow = _flow(
-            "def f(p):\n"
-            "    with open(p) as h:\n"
-            "        use(h)\n"
-        )
-        use = _stmt_calling(flow, "use")
-        defs = flow.reaching(use, "h")
-        assert [call_name(d) for d in defs] == ["open"]
+        assert scopes == [[], []]
 
 
 class TestCallgraphResolution:

@@ -1,4 +1,4 @@
-"""Tests for the flow-aware rule families, baselines, SARIF, and CLI.
+"""Tests for the project rule families, baselines, SARIF, and CLI.
 
 Fixture modules under ``tests/lint_fixtures/`` are valid-syntax true
 positives; they are parsed and injected into (a copy of) the real
@@ -184,18 +184,23 @@ class TestForkSafetyRule:
         assert run_lint(rules=["fork-safety"]) == []
 
     def test_connection_across_pool_boundary_flagged(self):
+        # run() ships a connection-holding object through a pool; the
+        # pool itself is the error, at its import and at its use.
         violations = run_lint(
             _fixture_only("fork_bad"), rules=["fork-safety"]
         )
-        leaks = [v for v in violations if "LeakyHolder.conn" in v.message]
-        assert len(leaks) == 1
-        assert "database connection" in leaks[0].message
-
-    def test_getstate_curated_class_not_flagged(self):
-        violations = run_lint(
-            _fixture_only("fork_bad"), rules=["fork-safety"]
-        )
-        assert not any("CuratedHolder" in v.message for v in violations)
+        fixture = (FIXTURES / "fork_bad.py").read_text().splitlines()
+        pool_lines = {
+            i + 1 for i, text in enumerate(fixture)
+            if "ProcessPoolExecutor" in text
+        }
+        flagged = {
+            v.line for v in violations
+            if "ProcessPoolExecutor referenced" in v.message
+        }
+        assert flagged == pool_lines and len(flagged) == 2
+        assert all(v.severity == "error" for v in violations
+                   if v.line in flagged)
 
     def test_scope_stack_mutation_outside_cm_flagged(self):
         violations = run_lint(
@@ -209,11 +214,45 @@ class TestForkSafetyRule:
         violations = run_lint(
             _fixture_only("fork_bad"), rules=["fork-safety"]
         )
-        leaks = [v for v in violations if "SpawnLeaky.log" in v.message]
+        leaks = [v for v in violations if "SpawnLeaky" in v.message]
         assert len(leaks) == 1
-        assert "open file handle" in leaks[0].message
+        assert "'holder'" in leaks[0].message
         assert "spawned-process boundary" in leaks[0].message
         assert "spawned_work" in leaks[0].message
+        assert leaks[0].severity == "error"
+
+    @pytest.mark.parametrize("annotation", [
+        "conn: sqlite3.Connection", "path", "*paths, **opts: int",
+    ])
+    def test_process_target_non_scalar_parameter_flagged(
+        self, annotation
+    ):
+        source = (
+            "import multiprocessing\n"
+            f"def child({annotation}) -> None:\n"
+            "    pass\n"
+            "def spawn():\n"
+            "    multiprocessing.Process(target=child).start()\n"
+        )
+        modules = {"repro.m": SourceModule.parse("repro.m", "m.py", source)}
+        violations = run_lint(modules, rules=["fork-safety"])
+        assert violations
+        assert all(
+            v.severity == "error" and "Process target child()" in v.message
+            for v in violations
+        )
+
+    def test_process_target_scalar_parameters_pass(self):
+        source = (
+            "import multiprocessing\n"
+            "def child(host: str, port: int, *, w: float, f: 'bool',\n"
+            "          b: bytes) -> None:\n"
+            "    pass\n"
+            "def spawn():\n"
+            "    multiprocessing.Process(target=child).start()\n"
+        )
+        modules = {"repro.m": SourceModule.parse("repro.m", "m.py", source)}
+        assert run_lint(modules, rules=["fork-safety"]) == []
 
     def test_process_lambda_target_warned(self):
         violations = run_lint(
@@ -265,17 +304,20 @@ class TestDurableWriteRule:
         violations = run_lint(
             _fixture_only("durable_bad"), rules=["durable-write"]
         )
-        unsafe = [
-            v for v in violations if "unsafe" not in v.message
+        fixture = (FIXTURES / "durable_bad.py").read_text().splitlines()
+        replace_lines = [
+            i + 1 for i, text in enumerate(fixture)
+            if text.strip().startswith("os.replace")
         ]
-        messages = " ".join(v.message for v in violations)
-        assert "not preceded on every path" in messages
-        assert "no directory fsync" in messages
-        assert unsafe is not None
+        assert sorted(v.line for v in violations) == replace_lines
+        assert all(
+            v.severity == "error" and "_durable_replace" in v.message
+            for v in violations
+        )
 
     def test_branch_without_fsync_flagged(self):
-        # branchy_publish fsyncs on one path only; the dir sync is
-        # present, so exactly the file-sync obligation fails.
+        # branchy_publish fsyncs on one path only; restating the
+        # protocol outside _durable_replace is the finding.
         violations = run_lint(
             _fixture_only("durable_bad"), rules=["durable-write"]
         )
@@ -286,46 +328,92 @@ class TestDurableWriteRule:
         ][1]
         branchy = [v for v in violations if v.line == branchy_replace]
         assert len(branchy) == 1
-        assert "not preceded on every path" in branchy[0].message
+        assert "outside repro.experiments.persistence" in branchy[0].message
 
-    def test_safe_publish_not_flagged(self):
-        violations = run_lint(
-            _fixture_only("durable_bad"), rules=["durable-write"]
-        )
-        fixture = (FIXTURES / "durable_bad.py").read_text().splitlines()
-        safe_replace = [
-            i + 1 for i, text in enumerate(fixture)
-            if text.strip().startswith("os.replace")
-        ][2]
-        assert not any(v.line == safe_replace for v in violations)
-
-    def test_removing_real_fsync_fails(self):
+    @pytest.mark.parametrize("tampered_line", [
+        "from os import replace\n",
+        "def publish(tmp, path):\n    os.rename(tmp, path)\n",
+    ])
+    def test_second_real_rename_fails(self, tampered_line):
         modules = dict(load_repo_modules())
         persistence = modules["repro.experiments.persistence"]
         source = Path(persistence.path).read_text()
-        tampered = source.replace(
+        modules["repro.experiments.persistence"] = SourceModule.parse(
+            persistence.name, persistence.path, source + tampered_line
+        )
+        violations = run_lint(modules, rules=["durable-write"])
+        assert len(violations) == 1
+        assert violations[0].path == persistence.path
+
+    def test_fsync_file_then_replace_then_fsync_dir(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import persistence
+
+        target = tmp_path / "published.json"
+        calls = _record_publish(persistence, target, monkeypatch)
+        assert calls == ["fsync(file)", "replace", "fsync(dir)"]
+        assert target.read_text() == '{"ok": true}'
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_removing_real_fsync_fails(self, tmp_path, monkeypatch):
+        tampered = _tampered_persistence(
             "os.fsync(handle.fileno())", "handle.flush()"
         )
-        assert tampered != source
-        modules["repro.experiments.persistence"] = SourceModule.parse(
-            persistence.name, persistence.path, tampered
+        calls = _record_publish(
+            tampered, tmp_path / "published.json", monkeypatch
         )
-        violations = run_lint(modules, rules=["durable-write"])
-        assert any(
-            "not preceded on every path" in v.message for v in violations
-        )
+        assert calls == ["replace", "fsync(dir)"]
 
-    def test_removing_real_dirsync_fails(self):
-        modules = dict(load_repo_modules())
-        persistence = modules["repro.experiments.persistence"]
-        source = Path(persistence.path).read_text()
-        tampered = source.replace("_fsync_directory(path.parent)", "pass")
-        assert tampered != source
-        modules["repro.experiments.persistence"] = SourceModule.parse(
-            persistence.name, persistence.path, tampered
+    def test_removing_real_dirsync_fails(self, tmp_path, monkeypatch):
+        tampered = _tampered_persistence(
+            "_fsync_directory(path.parent)", "pass"
         )
-        violations = run_lint(modules, rules=["durable-write"])
-        assert any("no directory fsync" in v.message for v in violations)
+        calls = _record_publish(
+            tampered, tmp_path / "published.json", monkeypatch
+        )
+        assert calls == ["fsync(file)", "replace"]
+
+
+def _record_publish(persistence, target, monkeypatch):
+    """Publish through ``persistence._durable_replace``; return the
+    ``os.fsync``/``os.replace`` calls it made, in order."""
+    import os
+    import stat
+
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        calls.append("fsync(dir)" if is_dir else "fsync(file)")
+        real_fsync(fd)
+
+    def spy_replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    persistence._durable_replace(target, '{"ok": true}')
+    return calls
+
+
+def _tampered_persistence(old, new):
+    """A fresh copy of the persistence module with ``old`` replaced by
+    ``new`` in its source, so a test can show the protocol spy catches
+    the mutation."""
+    import types
+
+    from repro.experiments import persistence
+
+    source = Path(persistence.__file__).read_text()
+    tampered = source.replace(old, new, 1)
+    assert tampered != source
+    module = types.ModuleType("repro.experiments.persistence_tampered")
+    module.__file__ = persistence.__file__
+    exec(compile(tampered, persistence.__file__, "exec"), module.__dict__)
+    return module
 
 
 class TestScreenSoundnessRule:
@@ -342,15 +430,34 @@ class TestScreenSoundnessRule:
         violations = run_lint(
             _with_fixture("screen_bad"), rules=["screen-soundness"]
         )
+        fixture = (FIXTURES / "screen_bad.py").read_text().splitlines()
+        construction = next(
+            i + 1 for i, text in enumerate(fixture)
+            if text.strip() == 'entry = ("lp", 2.0)'
+        )
         assert any(
-            "untagged_screen_via_local()" in v.message for v in violations
+            "untagged_screen_via_local()" in v.message
+            and v.line == construction
+            for v in violations
         )
 
     def test_untagged_interval_producer_flagged(self):
         violations = run_lint(
             _with_fixture("screen_bad"), rules=["screen-soundness"]
         )
-        assert any("untagged_decision()" in v.message for v in violations)
+        # Both arms of the conditional expression are constructions.
+        messages = [
+            v.message for v in violations
+            if "untagged_decision()" in v.message
+        ]
+        assert len(messages) == 2
+        assert any("('interval' tuple)" in m for m in messages)
+
+    def test_rule_tag_table_is_not_a_bound_tuple(self):
+        from repro.lint import screen_soundness
+
+        assert not isinstance(screen_soundness.BOUND_TAGS, tuple)
+        assert run_lint(rules=["screen-soundness"]) == []
 
     def test_stripping_real_decorator_fails(self):
         modules = dict(load_repo_modules())
@@ -381,25 +488,22 @@ class TestScreenSoundnessRule:
 
     def test_inverted_entry_ranks_fail(self):
         modules = dict(load_repo_modules())
-        store = modules["repro.analysis.store"]
-        source = Path(store.path).read_text()
+        cache = modules["repro.analysis.cache"]
+        source = Path(cache.path).read_text()
         tampered = source.replace(
             'ENTRY_RANKS = {"lp": 1, "interval": 2, "milp": 3}',
             'ENTRY_RANKS = {"lp": 4, "interval": 2, "milp": 3}',
         )
         assert tampered != source
-        modules["repro.analysis.store"] = SourceModule.parse(
-            store.name, store.path, tampered
+        modules["repro.analysis.cache"] = SourceModule.parse(
+            cache.name, cache.path, tampered
         )
         violations = run_lint(modules, rules=["screen-soundness"])
         assert any("ENTRY_RANKS" in v.message for v in violations)
 
     @pytest.mark.parametrize(
         "module_name, table",
-        [
-            ("repro.analysis.store", "ENTRY_RANKS"),
-            ("repro.analysis.cache", "_MEMORY_RANKS"),
-        ],
+        [("repro.analysis.cache", "ENTRY_RANKS")],
     )
     def test_interval_ranked_outside_lp_and_milp_fails(
         self, module_name, table

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import registry as registry_module
-from repro.analysis.interface import AnalysisOptions, RegulationConfig
+from repro.analysis.interface import AnalysisOptions
 from repro.analysis.nps import NpsAnalysis
 from repro.analysis.regulated import (
     RegulatedAnalysis,
@@ -30,13 +30,11 @@ from repro.analysis.registry import (
     simulator_class,
 )
 from repro.analysis.schedulability import analyze_taskset
-from repro.analysis.threshold import (
-    ThresholdAnalysis,
-    max_phase,
-    resolve_thresholds,
-)
+from repro.analysis.threshold import ThresholdAnalysis, max_phase
 from repro.errors import AnalysisError, ReproError
 from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
+from repro.model.platform import RegulationConfig
+from repro.model.priorities import resolve_thresholds
 from repro.model.taskset import TaskSet
 from repro.sim.adversarial import find_worst_response
 from repro.sim.nps_sim import NpsSimulator

@@ -256,3 +256,48 @@ class TestDegradationRecording:
         solution = ResilientBackend(HighsBackend()).solve(m)
         assert solution.degradation is DegradationLevel.EXACT
         assert solution.objective == pytest.approx(2.0)
+
+
+class _CountingHighs(HighsBackend):
+    """HiGHS that records which entry point each call came through."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def solve(self, model):
+        self.calls.append("solve")
+        return super().solve(model)
+
+    def decide(self, model, threshold):
+        self.calls.append("decide")
+        return super().decide(model, threshold)
+
+
+class TestDecisions:
+    def test_decide_reaches_primary_decision(self, reference_milp):
+        primary = _CountingHighs()
+        optimum = HighsBackend().solve(reference_milp).objective
+        decision = reference_milp.decide(
+            optimum + 1.0, ResilientBackend(primary)
+        )
+        assert decision.leq
+        assert primary.calls == ["decide"]
+        assert decision.solution is None  # proved by infeasibility
+
+    def test_injected_crash_falls_back_to_solve(self, reference_milp):
+        from repro.faults import FaultPlan, FaultSpec, injecting
+
+        primary = _CountingHighs()
+        optimum = HighsBackend().solve(reference_milp).objective
+        plan = FaultPlan(
+            specs=(FaultSpec(site="solver.fault", mode="crash", times=1),)
+        )
+        backend = ResilientBackend(primary, sleep=lambda _: None)
+        with injecting(plan) as scope:
+            above = reference_milp.decide(optimum + 1.0, backend)
+        assert [f.site for f in scope.fired] == ["solver.fault"]
+        assert primary.calls == ["solve"]
+        assert above.leq and above.solution is not None
+        below = reference_milp.decide(optimum - 1.0, backend)
+        assert not below.leq

@@ -16,7 +16,7 @@ from xml.dom import minidom
 
 import pytest
 
-from repro.analysis.interface import AnalysisOptions, RegulationConfig
+from repro.analysis.interface import AnalysisOptions
 from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
@@ -32,6 +32,7 @@ from repro.experiments.figures import save_sweep_svg, sweep_to_svg
 from repro.experiments.report import baseline_protocol
 from repro.experiments.units import unit_digest
 from repro.generator.taskset_gen import GenerationConfig
+from repro.model.platform import RegulationConfig
 from repro.service.worker import options_from_dict, options_to_dict
 
 ZOO = ("nps_carry", "wasly", "proposed", "threshold", "regulated")
