@@ -134,7 +134,7 @@ def _lin(vars_and_coefs: list[tuple[Var | None, float]]) -> LinExpr:
     expr = LinExpr()
     for var, coef in vars_and_coefs:
         if var is not None and coef != 0.0:
-            expr = expr + coef * var
+            expr.terms[var] = expr.terms.get(var, 0.0) + float(coef)
     return expr
 
 

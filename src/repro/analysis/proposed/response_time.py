@@ -21,13 +21,14 @@ reaching it, and asks the integer model only the question it needs:
 1. **vectorised closed form** — every task's conservative fixpoint,
    batched over the whole set with numpy
    (:func:`~repro.analysis.proposed.closed_form.closed_form_delay_bounds_batch`);
-2. **batched LP screen** — the deadline-window models of the tasks the
-   closed form could not prove, LP-relaxed and solved as one
-   block-diagonal LP (:func:`repro.milp.relaxation.screen_batch`);
+2. **LP screen** — the deadline-window model of a task the closed form
+   could not prove, built when its verdict is asked for and
+   LP-relaxed; the same build goes on to tier 3, so each ``t_D`` model
+   is built once and only for the verdicts the sweep reaches;
 3. **deadline decision** — the integer model at the deadline window
    ``t_D`` is asked "is the optimum at most ``D - u``?" rather than
    solved (:meth:`repro.milp.model.MilpBackend.decide`). HiGHS answers
-   with one feasibility solve of the model plus the row
+   with one first-incumbent solve of the model plus the row
    ``delay >= D - u + eps``: infeasible proves "<=", and with it the
    deadline (``f(D) <= D`` makes ``D`` a pre-fixpoint of the monotone
    response map); a verified witness proves ">";
@@ -61,7 +62,6 @@ across runs and a warm verdict run makes no solver call at all; see
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable
 
 from repro.analysis.cache import (
@@ -93,7 +93,7 @@ from repro.analysis.proposed.intervals import (
 from repro.errors import InfeasibleModelError, SolverError, UnboundedModelError
 from repro.milp.highs import HighsBackend
 from repro.milp.model import MilpBackend, MilpDecision, MilpModel
-from repro.milp.relaxation import LpRelaxationBackend, screen_batch
+from repro.milp.relaxation import LpRelaxationBackend
 from repro.milp.resilient import ResilientBackend
 from repro.milp.solution import MilpSolution, SolveStatus
 from repro.model.task import Task
@@ -232,13 +232,12 @@ class ProposedAnalysis:
         #: analysis and memoised per task set.
         self.carry_refinement = carry_refinement
         self._wcrt_cache: dict[tuple[TaskSet, str], Time] = {}
-        # Scope-local screening memos fed by _screen_taskset and
+        # Scope-local closed-form memo fed by _screen_taskset and
         # consumed by the per-task verdicts (counter bumps happen at
         # consumption, so early-exiting sweeps surface the same stats
         # sequentially and in parallel).
         self._screened: set[TaskSet] = set()
         self._screen_memo: dict[tuple[TaskSet, str, str], float] = {}
-        self._lp_proved: dict[tuple[TaskSet, str, str], bool] = {}
 
     # ------------------------------------------------------------------
     def _hp_wcrt_map(
@@ -857,23 +856,17 @@ class ProposedAnalysis:
             return AnalysisMode.LS_CASE_A
         return self._nls_mode
 
-    @bound_producer
     def _screen_taskset(self, taskset: TaskSet) -> None:
-        """Run the batched screening tiers once per task set.
+        """Run the closed-form screen once per task set.
 
-        Tier 1 evaluates every task's conservative closed-form fixpoint
-        as a single vectorised batch; tier 2 LP-relaxes the
-        deadline-window models of the tasks tier 1 could not prove and
-        solves them as one block-diagonal LP. Outcomes land in
-        scope-local memos consumed by :meth:`_verdict_mode` — counter
-        bumps happen at consumption, so a sweep that stops at its first
-        unschedulable task surfaces identical stats sequentially and in
-        parallel. Batch-derived LP bounds are persisted like any other
-        screening bound: the block-diagonal LP decomposes exactly, any
-        valid relaxation bound proves conservatively, and a failed
-        screen always falls through to the exact solve — so verdicts
-        cannot depend on which batch a bound came from, and a warm run
-        skips the screening LPs entirely.
+        Evaluates every task's conservative closed-form fixpoint as a
+        single vectorised batch into a scope-local memo consumed by
+        :meth:`_verdict_mode`; counter bumps happen at consumption, so
+        a sweep that stops at its first unschedulable task surfaces
+        identical stats sequentially and in parallel. Nothing else runs
+        ahead of the verdicts: the LP screen of a task that survives
+        this tier happens in its own verdict, on the model its decision
+        then reuses.
         """
         if taskset in self._screened or not self.options.screening:
             return
@@ -886,7 +879,6 @@ class ProposedAnalysis:
             groups.setdefault(
                 (blocking, mode.uses_ls_machinery), []
             ).append(task)
-        survivors: list[Task] = []
         for (blocking, urgent), tasks in groups.items():
             bounds = closed_form_delay_bounds_batch(
                 taskset,
@@ -900,48 +892,6 @@ class ProposedAnalysis:
                 self._screen_memo[(taskset, task.name, mode.value)] = float(
                     bound
                 )
-                if (
-                    float(bound) > task.deadline + 1e-9
-                    and not task.trivially_unschedulable
-                ):
-                    survivors.append(task)
-        if self.method != "milp" or not survivors:
-            return
-        batch: list[tuple[Task, AnalysisMode, str, DelayMilp]] = []
-        for task in sorted(survivors, key=lambda t: t.priority):
-            mode = modes[task.name]
-            hp_wcrt = self._hp_wcrt_map(taskset, task)
-            window_d = max(
-                task.deadline - task.exec_time - task.copy_out, task.copy_in
-            )
-            key, _ = self._delay_key(taskset, task, window_d, mode, hp_wcrt)
-            if self.cache.get(key) is not None:
-                continue  # a previous run or iteration knows this window
-            built = build_delay_milp(
-                taskset, task, window_d, mode, hp_wcrt=hp_wcrt
-            )
-            batch.append((task, mode, key, built))
-        if not batch:
-            return
-        start = time.perf_counter()
-        try:
-            bounds = screen_batch(
-                [built.model.compile() for *_, built in batch]
-            )
-        except SolverError:
-            return  # screening only; the per-task exact path decides
-        self.cache.bump("lp_solves", len(batch))
-        obs.emit(
-            "solve.screen_batch",
-            dur=time.perf_counter() - start,
-            size=len(batch),
-        )
-        for (task, mode, key, built), bound in zip(batch, bounds):
-            if bound is None:
-                continue
-            self.cache.put(key, ("lp", float(bound)))
-            if bound + task.copy_out <= task.deadline + 1e-9:
-                self._lp_proved[(taskset, task.name, mode.value)] = True
 
     @bound_producer
     def _lp_fixpoint_leq(
@@ -1017,14 +967,14 @@ class ProposedAnalysis:
            :meth:`_screen_taskset`, recomputed scalar otherwise);
         2. an LP relaxation at the deadline-induced window
            ``t_D = D - C - u`` within the deadline proves it with no
-           integer solve (batched when the screen pre-ran, solved
-           individually otherwise): the response map ``f`` is monotone,
-           so ``f(D) <= D`` makes ``D`` a pre-fixpoint and the least
+           integer solve: the response map ``f`` is monotone, so
+           ``f(D) <= D`` makes ``D`` a pre-fixpoint and the least
            fixpoint (the WCRT bound) is ``<= D``;
-        3. one integer *decision* at ``t_D`` — "is the optimum at most
-           ``D - u``?", answered by a feasibility solve instead of an
-           optimisation (:meth:`MilpBackend.decide`) — proves it the
-           same way when the answer is "<="; ">" moves on;
+        3. one integer *decision* at ``t_D``, on the model tier 2
+           relaxed — "is the optimum at most ``D - u``?", answered by a
+           first-incumbent solve instead of an optimisation
+           (:meth:`MilpBackend.decide`) — proves it the same way when
+           the answer is "<="; ">" moves on;
         4. the LP-only fixpoint screen proves schedulability when it
            converges within the deadline;
         5. otherwise the bottom-up iteration decides, each step first
@@ -1064,9 +1014,6 @@ class ProposedAnalysis:
         if not self.options.screening:
             outcome = self._iterate(taskset, task, mode)
             return outcome.wcrt <= task.deadline + 1e-9
-        if self._lp_proved.pop((taskset, task.name, mode.value), False):
-            self.cache.bump("screened_out")
-            return True
         hp_wcrt = self._hp_wcrt_map(taskset, task)
         window_d = max(
             task.deadline - task.exec_time - task.copy_out, task.copy_in

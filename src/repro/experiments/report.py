@@ -113,10 +113,14 @@ def render_sweep_table(result: SweepResult, baseline: str | None = None) -> str:
             f"{stats.get('lp_solves', 0)} LP solves, "
             f"{stats.get('milp_warm_starts', 0)} warm starts"
         )
+        # lp_screens: LP relaxations that settled a deadline check;
+        # screened_out: verdicts the LP-only fixpoint proved, and LS
+        # case-(b) solves the exact closed form made unnecessary.
         lines.append(
             f"screens: {stats.get('closed_form_screens', 0)} closed-form + "
-            f"{stats.get('lp_screens', 0)} LP, "
-            f"{stats.get('screened_out', 0)} integer solves screened out"
+            f"{stats.get('lp_screens', 0)} LP deadline checks, "
+            f"{stats.get('screened_out', 0)} by LP fixpoint or "
+            f"case-(b) closed form"
         )
     served = stats.get("unit_store.hits", 0)
     if served:

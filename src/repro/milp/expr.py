@@ -119,10 +119,19 @@ class LinExpr:
 
     @staticmethod
     def total(items: Iterable[ExprLike]) -> "LinExpr":
-        """Sum an iterable of expression-likes (like ``lpSum``)."""
+        """Sum an iterable of expression-likes (like ``lpSum``).
+
+        One pass into one dict: the same terms, in the same order and
+        with the same floating-point additions as folding ``+`` left to
+        right, without copying the accumulator at every step.
+        """
         acc = LinExpr()
+        terms = acc.terms
         for item in items:
-            acc = acc + item
+            rhs = LinExpr.from_(item)
+            for var, coef in rhs.terms.items():
+                terms[var] = terms.get(var, 0.0) + coef
+            acc.constant += rhs.constant
         return acc
 
     def copy(self) -> "LinExpr":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -38,9 +38,8 @@ _SCIPY_STATUS = {
 # (solver error). Some HiGHS builds fail in presolve on models that are
 # perfectly solvable; others need a tighter integer-feasibility
 # tolerance on degenerate models (e.g. duplicate rows from l=u memory
-# demands). ``mip_feasibility_tolerance`` is not in scipy's known-option
-# list and is passed to HiGHS verbatim (scipy warns about that; the
-# warning is suppressed below because verbatim is exactly the intent).
+# demands). ``mip_feasibility_tolerance`` goes to HiGHS verbatim (see
+# :func:`_milp`).
 _STATUS4_RETRY_LADDER: tuple[Mapping[str, object], ...] = (
     {"presolve": False},
     {"mip_feasibility_tolerance": 1e-7},
@@ -53,6 +52,14 @@ _STATUS4_RETRY_LADDER: tuple[Mapping[str, object], ...] = (
 #: ``opt <= threshold + DECISION_SLACK``: so ``eps`` stays strictly
 #: inside the slack, with room for the rounding of ``threshold + eps``.
 DECISION_ROW_EPS = DECISION_SLACK / 2
+
+#: Gap options of a threshold decision: with every gap open, the first
+#: incumbent HiGHS finds ends the solve (reported as scipy status 0).
+#: The decision reads no bound from it, only that point or status 2.
+_FIRST_INCUMBENT: Mapping[str, object] = {
+    "mip_rel_gap": np.inf,
+    "mip_abs_gap": np.inf,
+}
 
 
 class HighsBackend(MilpBackend):
@@ -88,10 +95,13 @@ class HighsBackend(MilpBackend):
         self.extra_options = dict(extra_options) if extra_options else {}
 
     def _options(self) -> dict[str, object]:
-        # The gap is always passed: left out, HiGHS would stop at its
-        # own default relative gap (1e-4) and report an incumbent below
-        # the proven dual bound as "optimal".
-        options: dict[str, object] = {"mip_rel_gap": self.mip_rel_gap}
+        # Both gaps are always passed: left out, HiGHS would stop at its
+        # own default relative (1e-4) or absolute (1e-6) gap and report
+        # an incumbent below the proven dual bound as "optimal".
+        options: dict[str, object] = {
+            "mip_rel_gap": self.mip_rel_gap,
+            "mip_abs_gap": 0.0,
+        }
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
         options.update(self.extra_options)
@@ -110,7 +120,7 @@ class HighsBackend(MilpBackend):
         options = self._options()
 
         start = time.perf_counter()
-        result = milp(
+        result = _milp(
             c=c,
             constraints=constraints,
             bounds=bounds,
@@ -125,17 +135,13 @@ class HighsBackend(MilpBackend):
                 model=model.name,
                 options=dict(perturbation),
             )
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", message="Unrecognized options"
-                )
-                result = milp(
-                    c=c,
-                    constraints=constraints,
-                    bounds=bounds,
-                    integrality=compiled.integrality,
-                    options={**options, **perturbation},
-                )
+            result = _milp(
+                c=c,
+                constraints=constraints,
+                bounds=bounds,
+                integrality=compiled.integrality,
+                options={**options, **perturbation},
+            )
         elapsed = time.perf_counter() - start
 
         stats = (
@@ -198,20 +204,25 @@ class HighsBackend(MilpBackend):
         )
 
     def decide(self, model: MilpModel, threshold: float) -> MilpDecision:
-        """Decide "optimum <= threshold?" with one feasibility solve.
+        """Decide "optimum <= threshold?" with one first-incumbent solve.
 
         The compiled model gets the extra row
-        ``c @ x >= threshold + DECISION_ROW_EPS`` and a zero objective,
-        so HiGHS only has to find *any* point above the threshold or
-        prove there is none — no optimality proof, no bound to close.
+        ``c @ x >= threshold + DECISION_ROW_EPS`` and keeps its own
+        objective, with every MIP gap open (:data:`_FIRST_INCUMBENT`):
+        HiGHS only has to find *any* point above the threshold or prove
+        there is none, and the objective steers its search and cuts
+        toward the points that matter — no optimality proof, no bound
+        to close.
 
         * scipy status 2 (infeasible) proves ``opt < threshold + eps``:
-          the answer is "<=", with that bound as ``upper``.
-        * status 0 returns a point. Its integers are snapped and its
-          continuous part is lifted to the best completion of that
-          integer structure (one LP,
-          :func:`repro.milp.relaxation.best_completion`: the first
-          point found sits on the threshold row, inside the slack).
+          the answer is "<=", with that bound as ``upper``. It is the
+          only proof of "<=": with the gaps open, the bound a status-0
+          solve stops at proves nothing.
+        * status 0 returns a point — the first incumbent. Its integers
+          are snapped and its continuous part is lifted to the best
+          completion of that integer structure (one LP,
+          :func:`repro.milp.relaxation.best_completion`: a first
+          incumbent may sit on the threshold row, inside the slack).
           The result is the witness: it must pass
           :meth:`MilpModel.check_assignment` and its bounds, and its
           objective, evaluated here, must clear
@@ -219,7 +230,7 @@ class HighsBackend(MilpBackend):
           the witness value as ``lower``.
         * anything else (a limit, an error, a witness that fails the
           check or lands within the slack) is undecided and falls back
-          to :meth:`solve` plus a comparison.
+          to :meth:`solve` (closed gaps) plus a comparison.
 
         HiGHS' ``objective_bound``/``objective_target`` early stops are
         deliberately not used: scipy reports them as status 4 without a
@@ -233,12 +244,12 @@ class HighsBackend(MilpBackend):
             np.append(compiled.row_upper, np.inf),
         )
         start = time.perf_counter()
-        result = milp(
-            c=np.zeros(compiled.num_vars),
+        result = _milp(
+            c=-compiled.objective,
             constraints=constraints,
             bounds=Bounds(compiled.var_lower, compiled.var_upper),
             integrality=compiled.integrality,
-            options=self._options(),
+            options={**self._options(), **_FIRST_INCUMBENT},
         )
         elapsed = time.perf_counter() - start
         x: np.ndarray | None = None
@@ -285,6 +296,18 @@ class HighsBackend(MilpBackend):
         return MilpDecision.from_solution(
             threshold, self.solve(model), solves=2, runtime_seconds=elapsed
         )
+
+
+def _milp(**kwargs: Any) -> Any:
+    """One :func:`scipy.optimize.milp` call with raw HiGHS options.
+
+    ``mip_abs_gap`` and ``mip_feasibility_tolerance`` are not in
+    scipy's known-option list and are passed to HiGHS verbatim; scipy
+    warns about that, and verbatim is exactly the intent.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Unrecognized options")
+        return milp(**kwargs)
 
 
 def _node_count(result: object) -> int | None:

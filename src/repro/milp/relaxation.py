@@ -1,31 +1,26 @@
-"""LP-relaxation backend and batched LP screening.
+"""LP-relaxation backend and the LP helpers of threshold decisions.
 
 Solves a model with all integrality constraints dropped. For a
 *maximisation* the relaxed optimum upper-bounds the MILP optimum, so —
 for the delay analyses in this package — the result is still a safe
 (more pessimistic) delay bound at a fraction of the cost: one LP solve,
 no branching. Used as the middle tier of the verdict pipeline
-(closed form → LP → MILP) and as an ablation axis.
+(closed form → LP → MILP), on the same compiled model the integer
+decision then reuses, and as an ablation axis. A relaxation bound is a
+screening value: the analysis cache tags it ``("lp", bound)`` and may
+persist it across runs, ranked below decided intervals and exact
+optima.
 
-:func:`screen_batch` extends the same soundness argument to a whole
-task set at once: independent relaxations are joined into one
-block-diagonal LP (their feasible sets do not interact, so the joint
-optimum decomposes into the per-block optima) and solved in a single
-HiGHS call, replacing per-window Python/solver round-trips with one
-vectorised assembly. Batched bounds are *screening* values: each is a
-safe upper bound for its block, but its floating-point value may
-differ in the last ulp from a standalone solve, so callers must keep
-them scope-local (never in the cross-run persistent cache).
+:func:`best_completion` lifts the first incumbent of a threshold
+decision to the best point with the same integer structure.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import block_diag, csc_matrix
 
 from repro.milp.model import CompiledMilp, MilpBackend, MilpModel
 from repro.milp.solution import MilpSolution, SolveStatus
@@ -110,10 +105,9 @@ def best_completion(compiled: CompiledMilp, x: np.ndarray) -> np.ndarray | None:
 
     Fixes every integer variable at its value in ``x`` (already
     integral) and maximises the objective over the continuous ones: one
-    LP. ``None`` when that LP has no optimum. A feasibility solve stops
-    at the first point it finds, which usually sits exactly on the row
-    that made it feasible; this lifts it to the best schedule with the
-    same integer structure.
+    LP. ``None`` when that LP has no optimum. A threshold decision stops
+    at its first incumbent, which may sit exactly on the threshold row;
+    this lifts it to the best schedule with the same integer structure.
     """
     int_mask = compiled.integrality.astype(bool)
     lower = compiled.var_lower.copy()
@@ -128,53 +122,3 @@ def best_completion(compiled: CompiledMilp, x: np.ndarray) -> np.ndarray | None:
     if result.status != 0 or result.x is None:
         return None
     return np.asarray(result.x, dtype=float)
-
-
-def screen_batch(
-    compiled: Sequence[CompiledMilp],
-) -> list[float | None]:
-    """LP-relaxation upper bounds for many models in one solver call.
-
-    The models are stacked into a block-diagonal LP; because the blocks
-    share no variables or rows, the joint maximum is the sum of the
-    per-block maxima and each block's slice of the joint solution is an
-    optimal solution of that block. The returned bound per model is
-    therefore a valid LP-relaxation optimum — a safe over-approximation
-    of the block's MILP optimum.
-
-    Returns one bound per input model, or ``None`` entries when the
-    joint solve does not come back optimal (a failed screen is simply
-    inconclusive; callers fall through to the exact path).
-    """
-    if not compiled:
-        return []
-    if len(compiled) == 1:
-        solution = LpRelaxationBackend().solve_compiled(compiled[0])
-        if solution.status is not SolveStatus.OPTIMAL:
-            return [None]
-        return [solution.objective]
-    blocks = [csc_matrix(c.row_matrix) for c in compiled]
-    matrix = block_diag(blocks, format="csc")
-    row_lower = np.concatenate([c.row_lower for c in compiled])
-    row_upper = np.concatenate([c.row_upper for c in compiled])
-    var_lower = np.concatenate([c.var_lower for c in compiled])
-    var_upper = np.concatenate([c.var_upper for c in compiled])
-    objective = np.concatenate([c.objective for c in compiled])
-    constraints = None
-    if matrix.shape[0]:
-        constraints = LinearConstraint(matrix, row_lower, row_upper)
-    result = _relaxed(
-        -objective, constraints, Bounds(var_lower, var_upper)
-    )
-    if _STATUS.get(result.status, SolveStatus.ERROR) is not SolveStatus.OPTIMAL:
-        return [None] * len(compiled)
-    if result.x is None:
-        return [None] * len(compiled)
-    x = np.asarray(result.x, dtype=float)
-    bounds: list[float | None] = []
-    offset = 0
-    for c in compiled:
-        x_block = x[offset : offset + c.num_vars]
-        bounds.append(float(c.objective @ x_block) + c.objective_constant)
-        offset += c.num_vars
-    return bounds

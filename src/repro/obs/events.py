@@ -85,7 +85,6 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
                      "vars": "int?"},
     "solve.decision": {"mode": "str", "outcome": "str", "threshold": "number",
                        "rows": "int?", "vars": "int?"},
-    "solve.screen_batch": {"size": "int"},
     "milp.incremental.update": {"mode": "str"},
     "milp.incremental.rebuild": {"mode": "str"},
     "ls.round": {"round": "int", "marks": "int"},

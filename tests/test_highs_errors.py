@@ -91,14 +91,13 @@ class TestPresolveRetry:
         solution = HighsBackend().solve(_model())
         assert solution.status is SolveStatus.OPTIMAL
         assert len(calls) == 4
-        # Every rung keeps the explicit zero gap of the first attempt.
-        assert calls[1] == {"mip_rel_gap": 0.0, "presolve": False}
-        assert calls[2] == {
-            "mip_rel_gap": 0.0,
-            "mip_feasibility_tolerance": 1e-7,
-        }
+        # Every rung keeps the explicit zero gaps of the first attempt.
+        gaps = {"mip_rel_gap": 0.0, "mip_abs_gap": 0.0}
+        assert calls[0] == gaps
+        assert calls[1] == {**gaps, "presolve": False}
+        assert calls[2] == {**gaps, "mip_feasibility_tolerance": 1e-7}
         assert calls[3] == {
-            "mip_rel_gap": 0.0,
+            **gaps,
             "presolve": False,
             "mip_feasibility_tolerance": 1e-7,
         }

@@ -1,8 +1,9 @@
 """Threshold decisions: "is the optimum <= theta?" without solving it.
 
 ``MilpBackend.decide`` answers with an ordinary solve plus a comparison;
-``HighsBackend.decide`` overrides it with one feasibility solve whose
-answers are proofs. These tests pin that the proofs are never wrong:
+``HighsBackend.decide`` overrides it with one first-incumbent solve
+(the model's own objective, every MIP gap open) whose answers are
+proofs. These tests pin that the proofs are never wrong:
 against the exact optimum on generated delay models, against the
 pure-Python branch-and-bound backend, and at near-ties of the 1e-9
 verdict slack. They also pin the solver-gap fix and the telemetry every
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.milp.highs as highs_module
 from repro.analysis.cache import AnalysisCache, cache_scope
 from repro.analysis.proposed.formulation import AnalysisMode, build_delay_milp
 from repro.analysis.proposed.response_time import ProposedAnalysis
@@ -179,19 +181,81 @@ def _captured_gap_model() -> MilpModel:
     return m
 
 
+def _record_milp_calls(monkeypatch):
+    """Pass every HiGHS call through, recording its objective and options."""
+    calls = []
+    real = highs_module.milp
+
+    def spy(**kwargs):
+        calls.append((np.array(kwargs["c"]), dict(kwargs["options"])))
+        return real(**kwargs)
+
+    monkeypatch.setattr(highs_module, "milp", spy)
+    return calls
+
+
+def _assert_exact_solve_reaches_the_dual_bound(model, monkeypatch):
+    calls = _record_milp_calls(monkeypatch)
+    with recording() as recorder:
+        solution = model.solve(HighsBackend())
+    assert solution.status is SolveStatus.OPTIMAL
+    ((_, options),) = calls
+    assert options["mip_rel_gap"] == 0.0
+    assert options["mip_abs_gap"] == 0.0
+    (event,) = [e for e in recorder.events if e["name"] == "highs.solve"]
+    dual_bound = event["f"]["dual_bound"]
+    assert dual_bound is not None
+    assert solution.objective >= dual_bound - 1e-9
+
+
 class TestSolverGap:
-    def test_reported_optimum_is_not_below_the_dual_bound(self):
-        # Before the gap was always passed, HiGHS stopped on this model
-        # at its default 1e-4 relative gap and reported 20.21385 as
-        # optimal against a proven bound of 20.21526.
-        model = _captured_gap_model()
-        with recording() as recorder:
-            solution = model.solve(HighsBackend())
-        assert solution.status is SolveStatus.OPTIMAL
-        (event,) = [e for e in recorder.events if e["name"] == "highs.solve"]
-        dual_bound = event["f"]["dual_bound"]
-        assert dual_bound is not None
-        assert solution.objective >= dual_bound - 1e-9
+    def test_reported_optimum_is_not_below_the_dual_bound(self, monkeypatch):
+        # Before the relative gap was always passed, HiGHS stopped on
+        # this model at its default 1e-4 relative gap and reported
+        # 20.21385 as optimal against a proven bound of 20.21526. Its
+        # default 1e-6 absolute gap would allow the same below 1e-6, so
+        # both gaps reach HiGHS as 0.
+        _assert_exact_solve_reaches_the_dual_bound(
+            _captured_gap_model(), monkeypatch
+        )
+
+    @pytest.mark.parametrize("model", DELAY_MODELS, ids=lambda m: m.name)
+    def test_delay_models_reach_their_dual_bound(self, model, monkeypatch):
+        _assert_exact_solve_reaches_the_dual_bound(model, monkeypatch)
+
+
+class TestObjectiveGuidedDecisions:
+    def test_decision_keeps_the_objective_and_opens_the_gaps(
+        self, monkeypatch
+    ):
+        model = DELAY_MODELS[0]
+        opt = model.solve(HighsBackend()).objective
+        calls = _record_milp_calls(monkeypatch)
+        decision = HighsBackend().decide(model, opt - 0.5)
+        assert decision.solution is None and not decision.leq
+        ((c, options),) = calls
+        assert np.array_equal(c, -model.compile().objective)
+        assert options["mip_rel_gap"] == np.inf
+        assert options["mip_abs_gap"] == np.inf
+
+    def test_undecided_fallback_solves_with_closed_gaps(self, monkeypatch):
+        # The optimum 1 sits half a slack above the threshold: the first
+        # incumbent lands inside the slack, so the decision falls back
+        # to an exact solve, which must not inherit the open gaps.
+        m = MilpModel("tie")
+        x = m.var("x", 0.0, 10.0, integer=True)
+        y = m.continuous("y", 0.0, 1.0)
+        m.add(x + y <= 1.0)
+        m.maximize(1.0 * x)
+        calls = _record_milp_calls(monkeypatch)
+        decision = HighsBackend().decide(m, 1.0 - 0.5 * DECISION_SLACK)
+        assert decision.solution is not None  # undecided, then solved
+        assert decision.leq and decision.solves == 2
+        (_, decide_options), (c, solve_options) = calls
+        assert decide_options["mip_rel_gap"] == np.inf
+        assert solve_options["mip_rel_gap"] == 0.0
+        assert solve_options["mip_abs_gap"] == 0.0
+        assert np.array_equal(c, -m.compile().objective)
 
 
 class TestTelemetry:
